@@ -43,6 +43,15 @@ def _add_param_flags(parser) -> None:
     parser.add_argument("--tie-break", choices=("high_g", "low_g"), default="high_g")
 
 
+def _add_grid_args(parser) -> None:
+    parser.add_argument("gridfile")
+    parser.add_argument("--allow-corner-cutting", action="store_true")
+
+
+def _load_grid(args):
+    return load_grid(args.gridfile, args.allow_corner_cutting)
+
+
 def _cmd_sweep(args) -> int:
     plan = parse_config(args.config)
     out_dir = args.output_dir or plan.output_dir
@@ -60,7 +69,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    grid = load_grid(args.gridfile, args.allow_corner_cutting)
+    grid = _load_grid(args)
     algo = AlgorithmId.parse(args.algo)
     try:
         outcome = solve(grid, algo, _solver_params(args))
@@ -77,7 +86,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_select(args) -> int:
-    grid = load_grid(args.gridfile)
+    grid = _load_grid(args)
     req = SelectionRequest(
         grid=grid,
         priority=parse_priority(args.priority),
@@ -88,7 +97,7 @@ def _cmd_select(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    grid = load_grid(args.gridfile)
+    grid = _load_grid(args)
     req = SelectionRequest(
         grid=grid,
         priority=parse_priority(args.priority),
@@ -143,20 +152,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_solve = sub.add_parser("solve", help="run one solver on a grid file")
-    p_solve.add_argument("gridfile")
+    _add_grid_args(p_solve)
     p_solve.add_argument("--algo", required=True)
-    p_solve.add_argument("--allow-corner-cutting", action="store_true")
     _add_param_flags(p_solve)
     p_solve.set_defaults(func=_cmd_solve)
 
     p_select = sub.add_parser("select", help="priority-based algorithm selection")
-    p_select.add_argument("gridfile")
+    _add_grid_args(p_select)
     p_select.add_argument("--priority", required=True)
     p_select.add_argument("--threshold", type=float, default=DEFAULT_DISTANCE_THRESHOLD)
     p_select.set_defaults(func=_cmd_select)
 
     p_eval = sub.add_parser("evaluate", help="benchmark the selection candidates")
-    p_eval.add_argument("gridfile")
+    _add_grid_args(p_eval)
     p_eval.add_argument("--priority", required=True)
     p_eval.add_argument("--threshold", type=float, default=DEFAULT_DISTANCE_THRESHOLD)
     p_eval.add_argument("--reps", type=int, default=10)

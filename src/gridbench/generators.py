@@ -22,6 +22,7 @@ import random
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
+from . import grid as gridmod
 from .errors import GenerationError, InvalidSpecError
 from .grid import SQRT2, Coord, Grid, euclidean_heuristic
 
@@ -91,17 +92,21 @@ def is_solvable(grid: Grid) -> bool:
     """Breadth-first reachability of the goal from the start."""
     if grid.start == grid.goal:
         return True
-    seen = {grid.start}
-    frontier = [grid.start]
-    goal = grid.goal
+    flags, steps = grid.flags, grid.steps
+    # looked up per call, not at import, so a patched gridbench.grid is seen
+    neighbors = gridmod.neighbor_cells
+    start, goal = grid.index(grid.start), grid.index(grid.goal)
+    seen = bytearray(len(flags))
+    seen[start] = 1
+    frontier = [start]
     while frontier:
         nxt = []
         for c in frontier:
-            for n, _ in grid.neighbors8(c):
+            for n, _ in neighbors(c, flags, steps):
                 if n == goal:
                     return True
-                if n not in seen:
-                    seen.add(n)
+                if not seen[n]:
+                    seen[n] = 1
                     nxt.append(n)
         frontier = nxt
     return False

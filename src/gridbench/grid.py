@@ -13,8 +13,8 @@ every operation here is a pure function of its arguments.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import AdjacencyError, GridFormatError, InvalidCellError
 
@@ -83,32 +83,47 @@ def moves_of(path) -> list[Move]:
     ]
 
 
-def neighbor_cells(
-    cell,
-    width: int,
-    height: int,
-    is_free: Callable[[int, int], bool],
-    allow_corner_cutting: bool = False,
-) -> list[tuple[Coord, float]]:
-    """8-neighborhood of ``cell`` under the movement rule.
+# Flag values of the padded cell array.  The array holds the grid
+# row-major with a one-cell border of OUTSIDE around it, so every cell of
+# the grid has all eight neighbour ids inside the array and neighbour
+# generation needs no bounds check.
+FREE, BLOCKED, OUTSIDE = 0, 1, 2
 
-    ``is_free(x, y)`` decides traversability of in-bounds cells.  Shared by
-    Grid and by the incremental planners that maintain their own mutable
-    blocked sets.
+
+def neighbor_steps(width: int, allow_corner_cutting: bool) -> tuple:
+    """The 8-entry step table for padded ids of a ``width``-wide grid.
+
+    One ``(offset, cost, flank_a, flank_b)`` per step, in NEIGHBOR_STEPS
+    order.  The flanks are the id offsets of the two orthogonal cells a
+    diagonal step passes; they are 0 for orthogonal steps and whenever
+    corner cutting is allowed, which means "no flank to check".
     """
-    x, y = cell[0], cell[1]
-    out = []
+    stride = width + 2
+    table = []
     for dx, dy, cost in NEIGHBOR_STEPS:
-        nx, ny = x + dx, y + dy
-        if nx < 0 or nx >= width or ny < 0 or ny >= height:
-            continue
-        if not is_free(nx, ny):
-            continue
         if cost != 1.0 and not allow_corner_cutting:
-            # both flanks of an in-bounds diagonal are themselves in bounds
-            if not (is_free(nx, y) and is_free(x, ny)):
-                continue
-        out.append((Coord(nx, ny), cost))
+            flank_a, flank_b = dx, dy * stride
+        else:
+            flank_a = flank_b = 0
+        table.append((dy * stride + dx, cost, flank_a, flank_b))
+    return tuple(table)
+
+
+def neighbor_cells(i: int, flags, steps) -> list[tuple[int, float]]:
+    """Free 8-neighbours of padded id ``i`` as ``(id, cost)``, clockwise from north.
+
+    ``flags`` is a padded flag array (``Grid.flags`` or a planner's mutable
+    copy) and ``steps`` its grid's ``neighbor_steps`` table.  Only the
+    neighbours and the flanks are read, never the flag of ``i`` itself.
+    """
+    out = []
+    for off, cost, fa, fb in steps:
+        j = i + off
+        if flags[j]:
+            continue
+        if fa and (flags[i + fa] or flags[i + fb]):
+            continue
+        out.append((j, cost))
     return out
 
 
@@ -118,6 +133,11 @@ class Grid:
 
     start == goal is permitted only as the explicit trivial case; the text
     format cannot express it (exactly one 'S' and one 'G').
+
+    Solvers walk padded integer cell ids: ``index(c)`` is
+    ``(y + 1) * (width + 2) + x + 1``, ``flags[index(c)]`` is FREE or
+    BLOCKED and the border reads OUTSIDE.  ``Coord`` appears only at the
+    API boundary (start, goal, paths in and out).
     """
 
     width: int
@@ -126,6 +146,8 @@ class Grid:
     start: Coord
     goal: Coord
     allow_corner_cutting: bool = False
+    flags: bytes = field(init=False, repr=False, compare=False)
+    steps: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.width < 1 or self.height < 1:
@@ -133,15 +155,23 @@ class Grid:
         object.__setattr__(self, "blocked", frozenset(Coord(c[0], c[1]) for c in self.blocked))
         object.__setattr__(self, "start", Coord(self.start[0], self.start[1]))
         object.__setattr__(self, "goal", Coord(self.goal[0], self.goal[1]))
-        for c in self.blocked:
-            if not self.in_bounds(c):
-                raise InvalidCellError(f"blocked cell {tuple(c)} out of bounds")
+        stride = self.width + 2
+        flags = bytearray([OUTSIDE]) * (stride * (self.height + 2))
+        for y in range(1, self.height + 1):
+            flags[y * stride + 1:y * stride + 1 + self.width] = bytes(self.width)
+        width, height = self.width, self.height
+        for x, y in self.blocked:
+            if not (0 <= x < width and 0 <= y < height):
+                raise InvalidCellError(f"blocked cell {(x, y)} out of bounds")
+            flags[(y + 1) * stride + x + 1] = BLOCKED
         for name in ("start", "goal"):
             c = getattr(self, name)
             if not self.in_bounds(c):
                 raise InvalidCellError(f"{name} {tuple(c)} out of bounds")
             if c in self.blocked:
                 raise InvalidCellError(f"{name} {tuple(c)} is blocked")
+        object.__setattr__(self, "flags", bytes(flags))
+        object.__setattr__(self, "steps", neighbor_steps(self.width, self.allow_corner_cutting))
 
     def in_bounds(self, c) -> bool:
         return 0 <= c[0] < self.width and 0 <= c[1] < self.height
@@ -149,15 +179,23 @@ class Grid:
     def is_traversable(self, c) -> bool:
         return self.in_bounds(c) and (c[0], c[1]) not in self.blocked
 
-    def is_free(self, x: int, y: int) -> bool:
-        """Traversability of an in-bounds cell (no bounds check)."""
-        return (x, y) not in self.blocked
+    def index(self, c) -> int:
+        """Padded id of an in-bounds cell."""
+        return (c[1] + 1) * (self.width + 2) + c[0] + 1
+
+    def coord(self, i: int) -> Coord:
+        """The cell of padded id ``i``."""
+        y, x = divmod(i, self.width + 2)
+        return Coord(x - 1, y - 1)
 
     def neighbors8(self, c) -> list[tuple[Coord, float]]:
         """Traversable neighbors of a traversable cell, clockwise from north."""
         if not self.is_traversable(c):
             raise InvalidCellError(f"{tuple(c)} is not a traversable cell")
-        return neighbor_cells(c, self.width, self.height, self.is_free, self.allow_corner_cutting)
+        stride = self.width + 2
+        i = (c[1] + 1) * stride + c[0] + 1
+        return [(Coord(j % stride - 1, j // stride - 1), cost)
+                for j, cost in neighbor_cells(i, self.flags, self.steps)]
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,7 @@ class AllocationProbe:
         self.live_bytes -= nbytes
 
     def expand(self, cell=None) -> None:
+        """One node expansion; solvers pass the padded cell id (see ``Grid.coord``)."""
         self.expansions += 1
 
 

@@ -12,8 +12,10 @@ rounds, and the w = 1 round is exact.
 
 from __future__ import annotations
 
+from math import hypot
+
+from .. import grid as gridmod
 from ..errors import NoPathError
-from ..grid import euclidean_heuristic
 from ..instrumentation import MAP_ENTRY_BYTES, AllocationProbe, TrackedSet
 from ..pqueue import LazyHeap
 from .common import INF, SolverParams, reconstruct, tie_term
@@ -21,21 +23,30 @@ from .common import INF, SolverParams, reconstruct, tie_term
 
 def run_detailed(grid, params: SolverParams, probe: AllocationProbe):
     """Returns (path, cost, expanded, iterates) with one (w, cost) per round."""
-    start, goal = grid.start, grid.goal
     tb = params.tie_break
-    h = euclidean_heuristic
+    stride = grid.width + 2
+    flags, steps = grid.flags, grid.steps
+    # looked up per solve, not at import, so a patched gridbench.grid is seen
+    neighbors = gridmod.neighbor_cells
+    start, goal = grid.index(grid.start), grid.index(grid.goal)
+    gx, gy = goal % stride, goal // stride
+
+    def h(s):
+        return hypot(s % stride - gx, s // stride - gy)
 
     g = {start: 0.0}
     probe.alloc(MAP_ENTRY_BYTES)
     parents = {}
     open_ = LazyHeap(probe)
     closed = TrackedSet(probe)
+    # keyed by (x, y): the iteration order of this set is the re-open
+    # order, which breaks ties between equal keys in the next round
     incons = TrackedSet(probe)
     expanded = 0
     iterates = []
 
     w = params.ara_initial_weight
-    open_.push(start, (w * h(start, goal), tie_term(0.0, tb)))
+    open_.push(start, (w * h(start), tie_term(0.0, tb)))
 
     while True:
         # improve-path round at the current weight
@@ -48,7 +59,7 @@ def run_detailed(grid, params: SolverParams, probe: AllocationProbe):
             expanded += 1
             probe.expand(s)
             gs = g[s]
-            for n, c in grid.neighbors8(s):
+            for n, c in neighbors(s, flags, steps):
                 ng = gs + c
                 if ng < g.get(n, INF):
                     if n not in g:
@@ -58,28 +69,29 @@ def run_detailed(grid, params: SolverParams, probe: AllocationProbe):
                         probe.alloc(MAP_ENTRY_BYTES)
                     parents[n] = s
                     if n in closed:
-                        incons.add(n)
+                        incons.add((n % stride - 1, n // stride - 1))
                     else:
-                        open_.push(n, (ng + w * h(n, goal), tie_term(ng, tb)))
+                        open_.push(n, (ng + w * h(n), tie_term(ng, tb)))
         cost = g.get(goal, INF)
         if cost == INF:
-            raise NoPathError(f"no path from {tuple(start)} to {tuple(goal)}")
+            raise NoPathError(f"no path from {tuple(grid.start)} to {tuple(grid.goal)}")
         iterates.append((w, cost))
         if w <= 1.0 or (not open_ and not incons):
             break
         w = max(1.0, w - params.ara_weight_decrement)
         # re-open surviving open entries and the inconsistency list at the new weight
         reopen = open_.live_items()
-        for s in incons:
+        for x, y in incons:
+            s = grid.index((x, y))
             if s not in open_:
                 reopen.append(s)
         open_.release()
         incons.release()
         closed.release()
         for s in reopen:
-            open_.push(s, (g[s] + w * h(s, goal), tie_term(g[s], tb)))
+            open_.push(s, (g[s] + w * h(s), tie_term(g[s], tb)))
 
-    path = reconstruct(parents, goal, start) if goal != start else [start]
+    path = [grid.coord(i) for i in reconstruct(parents, goal, start)]
     return path, g[goal], expanded, iterates
 
 

@@ -7,8 +7,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Tuple
 
-from ..errors import InvalidSpecError
-from ..grid import Coord, step_cost
+from ..errors import InvalidCellError, InvalidSpecError
+from ..grid import BLOCKED, FREE, OUTSIDE, Coord, step_cost
 
 INF = math.inf
 
@@ -119,3 +119,25 @@ def reconstruct(parents, end, origin) -> list:
         out.append(cur)
     out.reverse()
     return out
+
+
+def toggle_cell(grid, flags, cell, blocked: bool, fixed, why: str) -> int:
+    """Apply an obstacle toggle to a planner's flag copy; returns the cell's id.
+
+    ``fixed`` are the cells that must stay traversable, ``why`` says why.
+    """
+    cell = (cell[0], cell[1])
+    if cell in fixed:
+        raise InvalidCellError(f"cannot toggle {cell}: {why}")
+    if not grid.in_bounds(cell):
+        raise InvalidCellError(f"cannot toggle {cell}: out of bounds")
+    i = grid.index(cell)
+    flags[i] = BLOCKED if blocked else FREE
+    return i
+
+
+def cells_around(i: int, flags, stride: int) -> list:
+    """Ids of the in-grid cells around padded id ``i``, column by column from the top left."""
+    return [j for j in (i - stride - 1, i - 1, i + stride - 1, i - stride, i + stride,
+                        i - stride + 1, i + 1, i + stride + 1)
+            if flags[j] != OUTSIDE]

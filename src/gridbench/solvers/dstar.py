@@ -16,10 +16,10 @@ footprint is part of what the benchmarks measure.
 from __future__ import annotations
 
 from ..errors import InvalidCellError, NoPathError
-from ..grid import NEIGHBOR_STEPS, step_cost
+from ..grid import BLOCKED, OUTSIDE
 from ..instrumentation import RECORD_ENTRY_BYTES, AllocationProbe, TrackedMap
 from ..pqueue import LazyHeap
-from .common import INF, SolverParams
+from .common import INF, SolverParams, path_cost_of, toggle_cell
 
 _NEW, _OPEN, _CLOSED = 0, 1, 2
 
@@ -39,7 +39,9 @@ class DStarPlanner:
         self.grid = grid
         self.params = params or SolverParams()
         self.probe = probe or AllocationProbe()
-        self._blocked = set(grid.blocked)
+        # padded flags of the planner's own (mutable) copy of the grid
+        self._flags = bytearray(grid.flags)
+        self._steps = grid.steps
         self._records = TrackedMap(self.probe, entry_bytes=RECORD_ENTRY_BYTES)
         self._open = LazyHeap(self.probe)
         self.expanded = 0
@@ -51,25 +53,20 @@ class DStarPlanner:
             self._records[s] = r
         return r
 
-    def _arcs(self, cell):
-        """All in-bounds 8-neighbors with arc cost, INF for unusable arcs."""
-        x, y = cell
-        width, height = self.grid.width, self.grid.height
-        blocked = self._blocked
-        cell_blocked = cell in blocked
-        acc = self.grid.allow_corner_cutting
+    def _arcs(self, i):
+        """All in-grid 8-neighbors with arc cost, INF for unusable arcs."""
+        flags = self._flags
+        cell_blocked = flags[i] == BLOCKED
         out = []
-        for dx, dy, cost in NEIGHBOR_STEPS:
-            nx, ny = x + dx, y + dy
-            if nx < 0 or nx >= width or ny < 0 or ny >= height:
+        for off, cost, fa, fb in self._steps:
+            j = i + off
+            f = flags[j]
+            if f == OUTSIDE:
                 continue
-            n = (nx, ny)
-            c = cost
-            if cell_blocked or n in blocked:
-                c = INF
-            elif cost != 1.0 and not acc and ((nx, y) in blocked or (x, ny) in blocked):
-                c = INF
-            out.append((n, c))
+            if cell_blocked or f or (fa and (flags[i + fa] or flags[i + fb])):
+                out.append((j, INF))
+            else:
+                out.append((j, cost))
         return out
 
     def _insert(self, s, h_new: float) -> None:
@@ -89,16 +86,16 @@ class DStarPlanner:
         return top[0][0] if top is not None else -1.0
 
     def _process_state(self) -> float:
-        top = self._open.peek()
-        if top is None:
+        open_ = self._open
+        if not open_:
             return -1.0
-        (k_old,), x = self._open.pop()
-        r = self._rec(x)
+        (k_old,), x = open_.pop()
+        records = self._records.data
+        r = records[x]  # every queued cell has a record
         r.tag = _CLOSED
         self.expanded += 1
         self.probe.expand(x)
         arcs = self._arcs(x)
-        records = self._records.data
         if k_old < r.h:
             # RAISE: try to reroute through an already-settled neighbor
             for y, c in arcs:
@@ -106,11 +103,12 @@ class DStarPlanner:
                 if ry is not None and ry.h <= k_old and r.h > ry.h + c:
                     r.back = y
                     r.h = ry.h + c
-        if k_old == r.h:
+        rh = r.h  # fixed from here on: the loops below update only neighbours
+        if k_old == rh:
             # LOWER: propagate the settled cost to neighbors
             for y, c in arcs:
                 ry = records.get(y)
-                nh = r.h + c
+                nh = rh + c
                 if ry is None:
                     if nh < INF:
                         ry = self._rec(y)
@@ -123,7 +121,7 @@ class DStarPlanner:
             # still raised: re-expand descendants and enlist possible rescuers
             for y, c in arcs:
                 ry = records.get(y)
-                nh = r.h + c
+                nh = rh + c
                 if ry is None:
                     if nh < INF:
                         ry = self._rec(y)
@@ -133,15 +131,15 @@ class DStarPlanner:
                     ry.back = x
                     self._insert(y, nh)
                 elif ry.back != x and ry.h > nh:
-                    self._insert(x, r.h)
-                elif ry.back != x and r.h > ry.h + c and ry.tag == _CLOSED and ry.h > k_old:
+                    self._insert(x, rh)
+                elif ry.back != x and rh > ry.h + c and ry.tag == _CLOSED and ry.h > k_old:
                     self._insert(y, ry.h)
         return self._kmin()
 
     def initial_run(self) -> None:
         """Settle costs outward from the goal until the start is closed."""
-        start = (self.grid.start.x, self.grid.start.y)
-        self._insert((self.grid.goal.x, self.grid.goal.y), 0.0)
+        start = self.grid.index(self.grid.start)
+        self._insert(self.grid.index(self.grid.goal), 0.0)
         while True:
             r = self._records.data.get(start)
             if r is not None and r.tag == _CLOSED:
@@ -154,27 +152,23 @@ class DStarPlanner:
 
     def set_blocked(self, cell, blocked: bool = True) -> None:
         """Toggle an obstacle; re-queues affected CLOSED cells."""
-        cell = (cell[0], cell[1])
-        if cell == tuple(self.grid.goal):
-            raise InvalidCellError(f"cannot toggle the goal cell {cell}")
-        if blocked:
-            self._blocked.add(cell)
-        else:
-            self._blocked.discard(cell)
-        x, y = cell
-        affected = [cell] + [
-            (x + dx, y + dy)
-            for dx, dy, _ in NEIGHBOR_STEPS
-            if 0 <= x + dx < self.grid.width and 0 <= y + dy < self.grid.height
-        ]
+        i = toggle_cell(self.grid, self._flags, cell, blocked, (self.grid.goal,),
+                        "the goal must stay traversable")
+        flags = self._flags
+        affected = [i] + [i + off for off, _, _, _ in self._steps if flags[i + off] != OUTSIDE]
         for s in affected:
             r = self._records.data.get(s)
             if r is not None and r.tag == _CLOSED:
                 self._insert(s, r.h)
 
+    def _cell_id(self, cell) -> int:
+        if not self.grid.in_bounds(cell):
+            raise InvalidCellError(f"{tuple(cell)} is out of bounds")
+        return self.grid.index(cell)
+
     def replan(self, position) -> None:
         """Process until the cost at ``position`` is again provably optimal."""
-        position = (position[0], position[1])
+        position = self._cell_id(position)
         while True:
             r = self._records.data.get(position)
             href = r.h if r is not None else INF
@@ -184,12 +178,13 @@ class DStarPlanner:
             self._process_state()
 
     def extract_path(self, origin=None) -> list:
-        origin = tuple(origin) if origin is not None else (self.grid.start.x, self.grid.start.y)
+        origin = self._cell_id(origin if origin is not None else self.grid.start)
+        coord = self.grid.coord
         records = self._records.data
         r = records.get(origin)
         if r is None or r.h == INF:
-            raise NoPathError(f"no path from {origin} to {tuple(self.grid.goal)}")
-        goal = (self.grid.goal.x, self.grid.goal.y)
+            raise NoPathError(f"no path from {tuple(coord(origin))} to {tuple(self.grid.goal)}")
+        goal = self.grid.index(self.grid.goal)
         path = [origin]
         cur = origin
         limit = self.grid.width * self.grid.height + 1
@@ -197,21 +192,20 @@ class DStarPlanner:
             rc = records.get(cur)
             nxt = rc.back if rc is not None else None
             if nxt is None:
-                raise NoPathError(f"broken back-pointer chain at {cur}")
+                raise NoPathError(f"broken back-pointer chain at {tuple(coord(cur))}")
             arc = dict(self._arcs(cur)).get(nxt, INF)
             if arc == INF:
-                raise NoPathError(f"back-pointer chain crosses a blocked arc at {cur}")
+                raise NoPathError(f"back-pointer chain crosses a blocked arc at {tuple(coord(cur))}")
             cur = nxt
             path.append(cur)
             if len(path) > limit:
                 raise NoPathError("back-pointer chain cycled")
-        return path
+        return [coord(i) for i in path]
 
     def solve(self) -> tuple:
         self.initial_run()
         path = self.extract_path()
-        cost = sum(step_cost(path[i], path[i + 1]) for i in range(len(path) - 1))
-        return path, cost, self.expanded
+        return path, path_cost_of(path), self.expanded
 
 
 def run(grid, params: SolverParams, probe: AllocationProbe):

@@ -16,11 +16,13 @@ extracted path is optimal.
 
 from __future__ import annotations
 
-from ..errors import InvalidCellError, NoPathError
-from ..grid import euclidean_heuristic, neighbor_cells
+from math import hypot
+
+from ..errors import NoPathError
+from ..grid import neighbor_cells
 from ..instrumentation import AllocationProbe, TrackedMap
 from ..pqueue import LazyHeap
-from .common import INF, SolverParams
+from .common import INF, SolverParams, cells_around, toggle_cell
 
 
 class DStarLitePlanner:
@@ -28,32 +30,47 @@ class DStarLitePlanner:
         self.grid = grid
         self.params = params or SolverParams()
         self.probe = probe or AllocationProbe()
-        self._blocked = set(grid.blocked)
+        # padded flags of the planner's own (mutable) copy of the grid
+        self._flags = bytearray(grid.flags)
+        self._steps = grid.steps
+        self._stride = grid.width + 2
+        self._goal = grid.index(grid.goal)
         self._g = TrackedMap(self.probe, default=INF)
         self._rhs = TrackedMap(self.probe, default=INF)
         self._open = LazyHeap(self.probe)
         self.expanded = 0
-        self.position = grid.start
-        self._last = grid.start
+        self._move_to(grid.index(grid.start))
+        self._last = self._pos
         self._k_m = 0.0
-        self._rhs[grid.goal] = 0.0
-        self._open.push(grid.goal, self._key(grid.goal))
+        self._rhs[self._goal] = 0.0
+        self._open.push(self._goal, self._key(self._goal))
 
-    def _free(self, x: int, y: int) -> bool:
-        return (x, y) not in self._blocked
+    @property
+    def position(self):
+        """The agent's cell."""
+        return self.grid.coord(self._pos)
 
-    def _neighbors(self, cell):
-        return neighbor_cells(
-            cell, self.grid.width, self.grid.height, self._free, self.grid.allow_corner_cutting
-        )
+    def _move_to(self, i: int) -> None:
+        self._pos = i
+        self._px, self._py = i % self._stride, i // self._stride
+
+    def _neighbors(self, i):
+        return neighbor_cells(i, self._flags, self._steps)
 
     def _key(self, s):
         m = min(self._g.get(s), self._rhs.get(s))
-        return (m + euclidean_heuristic(self.position, s) + self._k_m, m)
+        stride = self._stride
+        return (m + hypot(self._px - s % stride, self._py - s // stride) + self._k_m, m)
+
+    def _moved(self) -> float:
+        """Straight-line distance from the cell of the last key offset to the agent."""
+        stride = self._stride
+        last = self._last
+        return hypot(last % stride - self._px, last // stride - self._py)
 
     def _update_vertex(self, s) -> None:
-        if s != self.grid.goal:
-            if s in self._blocked:
+        if s != self._goal:
+            if self._flags[s]:
                 rhs = INF
             else:
                 rhs = INF
@@ -69,7 +86,7 @@ class DStarLitePlanner:
     def compute(self) -> None:
         """Expand until the agent's cell is consistent with a minimal key."""
         g, rhs, open_ = self._g, self._rhs, self._open
-        pos = self.position
+        pos = self._pos
         while open_:
             top = open_.peek()
             if not (top[0] < self._key(pos) or rhs.get(pos) != g.get(pos)):
@@ -92,7 +109,7 @@ class DStarLitePlanner:
                 for n, _ in self._neighbors(u):
                     self._update_vertex(n)
         if g.get(pos) == INF:
-            raise NoPathError(f"no path from {tuple(pos)} to {tuple(self.grid.goal)}")
+            raise NoPathError(f"no path from {tuple(self.position)} to {tuple(self.grid.goal)}")
 
     def _best_move(self, cell):
         best = None
@@ -106,59 +123,48 @@ class DStarLitePlanner:
 
     def extract_path(self) -> list:
         """Greedy descent from the agent's cell toward the goal."""
-        goal = self.grid.goal
-        if self._g.get(self.position) == INF:
-            raise NoPathError(f"no path from {tuple(self.position)} to {tuple(goal)}")
-        path = [self.position]
-        cur = self.position
+        goal = self._goal
+        if self._g.get(self._pos) == INF:
+            raise NoPathError(f"no path from {tuple(self.position)} to {tuple(self.grid.goal)}")
+        path = [self._pos]
+        cur = self._pos
         limit = self.grid.width * self.grid.height + 1
         while cur != goal:
             nxt, val = self._best_move(cur)
             if nxt is None or val == INF:
-                raise NoPathError(f"path extraction stranded at {tuple(cur)}")
+                raise NoPathError(f"path extraction stranded at {tuple(self.grid.coord(cur))}")
             cur = nxt
             path.append(cur)
             if len(path) > limit:
                 raise NoPathError("path extraction cycled; values inconsistent")
-        return path
+        return [self.grid.coord(i) for i in path]
 
     def advance(self, steps: int = 1) -> None:
         """Move the agent along the current optimal path."""
         for _ in range(steps):
-            if self.position == self.grid.goal:
+            if self._pos == self._goal:
                 return
-            nxt, val = self._best_move(self.position)
+            nxt, val = self._best_move(self._pos)
             if nxt is None or val == INF:
                 raise NoPathError(f"agent stranded at {tuple(self.position)}")
-            self.position = nxt
-        self._k_m += euclidean_heuristic(self._last, self.position)
-        self._last = self.position
+            self._move_to(nxt)
+        self._k_m += self._moved()
+        self._last = self._pos
 
     def set_blocked(self, cell, blocked: bool = True) -> None:
         """Apply an obstacle change and re-queue the affected cells."""
-        cell = (cell[0], cell[1])
-        if cell == tuple(self.position) or cell == tuple(self.grid.goal):
-            raise InvalidCellError(f"cannot toggle {cell}: agent/goal cells must stay traversable")
-        self._k_m += euclidean_heuristic(self._last, self.position)
-        self._last = self.position
-        if blocked:
-            self._blocked.add(cell)
-        else:
-            self._blocked.discard(cell)
-        x, y = cell
-        self._update_vertex(cell)
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                if dx == 0 and dy == 0:
-                    continue
-                nx, ny = x + dx, y + dy
-                if 0 <= nx < self.grid.width and 0 <= ny < self.grid.height:
-                    self._update_vertex((nx, ny))
+        i = toggle_cell(self.grid, self._flags, cell, blocked,
+                        (self.position, self.grid.goal), "agent/goal cells must stay traversable")
+        self._k_m += self._moved()
+        self._last = self._pos
+        self._update_vertex(i)
+        for j in cells_around(i, self._flags, self._stride):
+            self._update_vertex(j)
 
     def solve(self) -> tuple:
         self.compute()
         path = self.extract_path()
-        return path, self._g.get(self.position), self.expanded
+        return path, self._g.get(self._pos), self.expanded
 
 
 def run(grid, params: SolverParams, probe: AllocationProbe):

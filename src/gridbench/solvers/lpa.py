@@ -16,11 +16,13 @@ static grid therefore behaves exactly like A*; after an edge change,
 
 from __future__ import annotations
 
-from ..errors import InvalidCellError, NoPathError
-from ..grid import euclidean_heuristic, neighbor_cells
+from math import hypot
+
+from ..errors import NoPathError
+from ..grid import neighbor_cells
 from ..instrumentation import AllocationProbe, TrackedMap
 from ..pqueue import LazyHeap
-from .common import INF, SolverParams
+from .common import INF, SolverParams, cells_around, toggle_cell
 
 
 class LpaStarPlanner:
@@ -28,31 +30,31 @@ class LpaStarPlanner:
         self.grid = grid
         self.params = params or SolverParams()
         self.probe = probe or AllocationProbe()
-        self._blocked = set(grid.blocked)
+        # padded flags of the planner's own (mutable) copy of the grid
+        self._flags = bytearray(grid.flags)
+        self._steps = grid.steps
+        self._stride = grid.width + 2
+        self._start = grid.index(grid.start)
+        self._goal = grid.index(grid.goal)
+        self._gx, self._gy = self._goal % self._stride, self._goal // self._stride
         self._g = TrackedMap(self.probe, default=INF)
         self._rhs = TrackedMap(self.probe, default=INF)
         self._open = LazyHeap(self.probe)
         self.expanded = 0
-        self._rhs[grid.start] = 0.0
-        self._open.push(grid.start, self._key(grid.start))
+        self._rhs[self._start] = 0.0
+        self._open.push(self._start, self._key(self._start))
 
-    # -- movement model over the planner's own (mutable) blocked set --
-
-    def _free(self, x: int, y: int) -> bool:
-        return (x, y) not in self._blocked
-
-    def _neighbors(self, cell):
-        return neighbor_cells(
-            cell, self.grid.width, self.grid.height, self._free, self.grid.allow_corner_cutting
-        )
+    def _neighbors(self, i):
+        return neighbor_cells(i, self._flags, self._steps)
 
     def _key(self, s):
         m = min(self._g.get(s), self._rhs.get(s))
-        return (m + euclidean_heuristic(s, self.grid.goal), m)
+        stride = self._stride
+        return (m + hypot(s % stride - self._gx, s // stride - self._gy), m)
 
     def _update_vertex(self, s) -> None:
-        if s != self.grid.start:
-            if s in self._blocked:
+        if s != self._start:
+            if self._flags[s]:
                 rhs = INF
             else:
                 rhs = INF
@@ -67,7 +69,7 @@ class LpaStarPlanner:
 
     def compute(self) -> None:
         """Expand inconsistent cells until the goal is settled."""
-        goal = self.grid.goal
+        goal = self._goal
         g, rhs, open_ = self._g, self._rhs, self._open
         while open_:
             top = open_.peek()
@@ -86,32 +88,21 @@ class LpaStarPlanner:
                 for n, _ in self._neighbors(u):
                     self._update_vertex(n)
         if g.get(goal) == INF:
-            raise NoPathError(f"no path from {tuple(self.grid.start)} to {tuple(goal)}")
+            raise NoPathError(f"no path from {tuple(self.grid.start)} to {tuple(self.grid.goal)}")
 
     def set_blocked(self, cell, blocked: bool = True) -> None:
         """Apply an obstacle change and re-queue the affected cells."""
-        cell = (cell[0], cell[1])
-        if cell == tuple(self.grid.start) or cell == tuple(self.grid.goal):
-            raise InvalidCellError(f"cannot toggle {cell}: start/goal must stay traversable")
-        if blocked:
-            self._blocked.add(cell)
-        else:
-            self._blocked.discard(cell)
-        x, y = cell
-        self._update_vertex(cell)
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                if dx == 0 and dy == 0:
-                    continue
-                nx, ny = x + dx, y + dy
-                if 0 <= nx < self.grid.width and 0 <= ny < self.grid.height:
-                    self._update_vertex((nx, ny))
+        i = toggle_cell(self.grid, self._flags, cell, blocked,
+                        (self.grid.start, self.grid.goal), "start/goal must stay traversable")
+        self._update_vertex(i)
+        for j in cells_around(i, self._flags, self._stride):
+            self._update_vertex(j)
 
     def extract_path(self) -> list:
         """Greedy descent from the goal along settled g values."""
-        start, goal = self.grid.start, self.grid.goal
+        start, goal = self._start, self._goal
         if self._g.get(goal) == INF:
-            raise NoPathError(f"no path from {tuple(start)} to {tuple(goal)}")
+            raise NoPathError(f"no path from {tuple(self.grid.start)} to {tuple(self.grid.goal)}")
         path = [goal]
         cur = goal
         limit = self.grid.width * self.grid.height + 1
@@ -124,18 +115,18 @@ class LpaStarPlanner:
                     best_val = v
                     best = n
             if best is None or best_val == INF:
-                raise NoPathError(f"path extraction stranded at {tuple(cur)}")
+                raise NoPathError(f"path extraction stranded at {tuple(self.grid.coord(cur))}")
             cur = best
             path.append(cur)
             if len(path) > limit:
                 raise NoPathError("path extraction cycled; values inconsistent")
         path.reverse()
-        return path
+        return [self.grid.coord(i) for i in path]
 
     def solve(self) -> tuple:
         self.compute()
         path = self.extract_path()
-        return path, self._g.get(self.grid.goal), self.expanded
+        return path, self._g.get(self._goal), self.expanded
 
 
 def run(grid, params: SolverParams, probe: AllocationProbe):

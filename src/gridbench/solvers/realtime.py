@@ -28,9 +28,11 @@ live footprint scales with the grid area rather than the touched region.
 from __future__ import annotations
 
 import heapq
+from math import hypot
 
-from ..errors import NoPathError
-from ..grid import SQRT2, euclidean_heuristic, step_cost
+from .. import grid as gridmod
+from ..errors import InvalidCellError, NoPathError
+from ..grid import SQRT2, step_cost
 from ..instrumentation import (
     ARRAY_SLOT_BYTES,
     HEAP_ENTRY_BYTES,
@@ -52,37 +54,48 @@ class RealTimeAgent:
         self.probe = probe
         self.adaptive = adaptive
         w, h = grid.width, grid.height
-        self._width = w
-        ncells = w * h
+        # the arrays are indexed by padded id; the border slots are never
+        # read, and the accounting charges the w x h cells of the grid
+        self._ncells = w * h
         gx, gy = grid.goal
-        self._h = [euclidean_heuristic((x, y), (gx, gy)) for y in range(h) for x in range(w)]
-        self._g = [0.0] * ncells
-        self._tree = [-1] * ncells
-        self._gen = [0] * ncells
-        self._exp = [0] * ncells
-        probe.alloc(_N_ARRAYS * ncells * ARRAY_SLOT_BYTES)
+        self._h = [hypot(x - gx, y - gy) for y in range(-1, h + 1) for x in range(-1, w + 1)]
+        size = len(self._h)
+        self._g = [0.0] * size
+        self._tree = [-1] * size
+        self._gen = [0] * size
+        self._exp = [0] * size
+        probe.alloc(_N_ARRAYS * self._ncells * ARRAY_SLOT_BYTES)
         self._arrays_live = True
         self._episode = 0
-        self.position = grid.start
+        self._pos = grid.index(grid.start)
         self.path = [grid.start]
         self.path_cost = 0.0
         self.expanded = 0
         self.done = False
         # any finite shortest path costs less than sqrt(2) x cell count;
         # stored h climbing past this bound proves the goal unreachable
-        self._h_cap = ncells * SQRT2 + 1.0
-        self.last_closed = []  # cells expanded by the most recent episode
+        self._h_cap = self._ncells * SQRT2 + 1.0
+        self._closed = []  # ids expanded by the most recent episode
 
-    def _idx(self, c) -> int:
-        return c[1] * self._width + c[0]
+    @property
+    def position(self):
+        """The agent's cell."""
+        return self.grid.coord(self._pos)
+
+    @property
+    def last_closed(self) -> list:
+        """Cells expanded by the most recent episode."""
+        return [self.grid.coord(i) for i in self._closed]
 
     def h_value(self, c) -> float:
         """Current stored heuristic for a cell."""
-        return self._h[self._idx(c)]
+        if not self.grid.in_bounds(c):
+            raise InvalidCellError(f"{tuple(c)} is out of bounds")
+        return self._h[self.grid.index(c)]
 
     def _release_arrays(self) -> None:
         if self._arrays_live:
-            self.probe.free(_N_ARRAYS * len(self._h) * ARRAY_SLOT_BYTES)
+            self.probe.free(_N_ARRAYS * self._ncells * ARRAY_SLOT_BYTES)
             self._arrays_live = False
 
     def run_episode(self) -> bool:
@@ -90,52 +103,48 @@ class RealTimeAgent:
         if self.done:
             return True
         grid, probe = self.grid, self.probe
-        width = self._width
+        flags, steps = grid.flags, grid.steps
+        # looked up per episode, not at import, so a patched gridbench.grid is seen
+        neighbors = gridmod.neighbor_cells
         h_arr, g_arr, tree, gen, exp = self._h, self._g, self._tree, self._gen, self._exp
         high_g = self.params.tie_break is TieBreak.HIGH_G
         self._episode += 1
         eid = self._episode
-        origin = self.position
-        goal = grid.goal
-        oi = origin[1] * width + origin[0]
+        oi = self._pos
+        goal = grid.index(grid.goal)
         g_arr[oi] = 0.0
         gen[oi] = eid
         tree[oi] = -1
         open_ = LazyHeap(probe)
-        open_.push(origin, (h_arr[oi], 0.0))
+        open_.push(oi, (h_arr[oi], 0.0))
         closed = []
         budget = self.params.lookahead
         expd = 0
         reached = False
         while open_ and expd < budget:
-            _, s = open_.pop()
+            _, si = open_.pop()
             expd += 1
-            probe.expand(s)
-            if s == goal:
+            probe.expand(si)
+            if si == goal:
                 reached = True
                 break
-            si = s[1] * width + s[0]
             exp[si] = eid
-            closed.append(s)
+            closed.append(si)
             probe.alloc(ARRAY_SLOT_BYTES)  # closed stack slot
             gs = g_arr[si]
-            for n, c in grid.neighbors8(s):
-                ni = n[1] * width + n[0]
+            for ni, c in neighbors(si, flags, steps):
                 ng = gs + c
                 if gen[ni] != eid or ng < g_arr[ni]:
                     g_arr[ni] = ng
                     gen[ni] = eid
                     tree[ni] = si
-                    open_.push(n, (ng + h_arr[ni], -ng if high_g else ng))
+                    open_.push(ni, (ng + h_arr[ni], -ng if high_g else ng))
         self.expanded += expd
-        self.last_closed = closed
+        self._closed = closed
 
         if reached:
-            tail = self._chain_to(goal, oi)
-            for step in tail:
-                self.path_cost += step_cost(self.position, step)
-                self.path.append(step)
-                self.position = step
+            for step in self._chain_to(goal, oi):
+                self._step(step)
             self._finish_episode(open_, closed)
             self.done = True
             self._release_arrays()
@@ -145,40 +154,41 @@ class RealTimeAgent:
         if top is None:
             self._finish_episode(open_, closed)
             self._release_arrays()
-            raise NoPathError(f"goal {tuple(goal)} unreachable from {tuple(grid.start)}")
+            raise NoPathError(f"goal {tuple(grid.goal)} unreachable from {tuple(grid.start)}")
         best = top[1]
 
         if self.adaptive:
-            bi = best[1] * width + best[0]
-            f_best = g_arr[bi] + h_arr[bi]
-            for s in closed:
-                si = s[1] * width + s[0]
+            f_best = g_arr[best] + h_arr[best]
+            for si in closed:
                 h_arr[si] = f_best - g_arr[si]
         else:
             self._learning_backup(open_, eid)
 
-        step = self._chain_to(best, oi)[0]
-        self.path_cost += step_cost(self.position, step)
-        self.path.append(step)
-        self.position = step
+        self._step(self._chain_to(best, oi)[0])
         self._finish_episode(open_, closed)
-        if self.position == goal:
+        if self._pos == goal:
             self.done = True
             self._release_arrays()
             return True
-        if h_arr[self.position[1] * width + self.position[0]] > self._h_cap:
+        if h_arr[self._pos] > self._h_cap:
             self._release_arrays()
-            raise NoPathError(f"goal {tuple(goal)} unreachable from {tuple(grid.start)}")
+            raise NoPathError(f"goal {tuple(grid.goal)} unreachable from {tuple(grid.start)}")
         return False
 
-    def _chain_to(self, end, origin_idx: int) -> list:
-        """Tree path origin -> end as coords, origin excluded."""
-        width = self._width
+    def _step(self, i: int) -> None:
+        """Move the agent to the adjacent cell of id ``i``."""
+        cell = self.grid.coord(i)
+        self.path_cost += step_cost(self.path[-1], cell)
+        self.path.append(cell)
+        self._pos = i
+
+    def _chain_to(self, end: int, origin: int) -> list:
+        """Tree path origin -> end as ids, origin excluded."""
         tree = self._tree
         out = []
-        ci = end[1] * width + end[0]
-        while ci != origin_idx:
-            out.append((ci % width, ci // width))
+        ci = end
+        while ci != origin:
+            out.append(ci)
             ci = tree[ci]
         out.reverse()
         return out
@@ -190,31 +200,30 @@ class RealTimeAgent:
     def _learning_backup(self, open_: LazyHeap, eid: int) -> None:
         """Dijkstra from the frontier into this episode's expanded region."""
         grid, probe = self.grid, self.probe
-        width = self._width
+        flags, steps = grid.flags, grid.steps
+        neighbors = gridmod.neighbor_cells
         h_arr, exp = self._h, self._exp
         pq = []
         seq = 0
-        for s in open_.live_items():
+        for si in open_.live_items():
             seq += 1
-            pq.append((h_arr[s[1] * width + s[0]], seq, s))
+            pq.append((h_arr[si], seq, si))
             probe.alloc(HEAP_ENTRY_BYTES)
         heapq.heapify(pq)
         settled = set()
         while pq:
-            d, _, s = heapq.heappop(pq)
+            d, _, si = heapq.heappop(pq)
             probe.free(HEAP_ENTRY_BYTES)
-            si = s[1] * width + s[0]
             if si in settled:
                 continue
             settled.add(si)
             probe.alloc(SET_ENTRY_BYTES)
             if exp[si] == eid:
                 h_arr[si] = d
-            for n, c in grid.neighbors8(s):
-                ni = n[1] * width + n[0]
+            for ni, c in neighbors(si, flags, steps):
                 if exp[ni] == eid and ni not in settled:
                     seq += 1
-                    heapq.heappush(pq, (d + c, seq, n))
+                    heapq.heappush(pq, (d + c, seq, ni))
                     probe.alloc(HEAP_ENTRY_BYTES)
         probe.free(SET_ENTRY_BYTES * len(settled))
 

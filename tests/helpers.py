@@ -7,7 +7,38 @@ solver implementations beyond the grid movement model itself.
 import heapq
 import math
 
+from gridbench.grid import NEIGHBOR_STEPS, Coord
+
 INF = math.inf
+
+
+def reference_neighbors(cell, width, height, is_free, allow_corner_cutting=False):
+    """8-neighbourhood of ``cell`` by coordinates and a traversability callback.
+
+    The movement rule written out cell by cell, with bounds checks; the
+    padded-id neighbour table of ``gridbench.grid`` must agree with it.
+    """
+    x, y = cell[0], cell[1]
+    out = []
+    for dx, dy, cost in NEIGHBOR_STEPS:
+        nx, ny = x + dx, y + dy
+        if nx < 0 or nx >= width or ny < 0 or ny >= height:
+            continue
+        if not is_free(nx, ny):
+            continue
+        if cost != 1.0 and not allow_corner_cutting:
+            # both flanks of an in-bounds diagonal are themselves in bounds
+            if not (is_free(nx, y) and is_free(x, ny)):
+                continue
+        out.append((Coord(nx, ny), cost))
+    return out
+
+
+def grid_neighbors(grid, cell):
+    """``reference_neighbors`` over a Grid's own blocked set."""
+    blocked = grid.blocked
+    return reference_neighbors(cell, grid.width, grid.height,
+                               lambda x, y: (x, y) not in blocked, grid.allow_corner_cutting)
 
 
 def bellman_ford_cost(grid):
@@ -26,7 +57,7 @@ def bellman_ford_cost(grid):
             dc = dist.get(c, INF)
             if dc == INF:
                 continue
-            for n, cost in grid.neighbors8(c):
+            for n, cost in grid_neighbors(grid, c):
                 if dc + cost < dist.get(n, INF) - 1e-15:
                     dist[n] = dc + cost
                     changed = True
@@ -42,7 +73,7 @@ def dijkstra_from(grid, source):
         d, _, c = heapq.heappop(pq)
         if d > dist.get(c, INF):
             continue
-        for n, cost in grid.neighbors8(c):
+        for n, cost in grid_neighbors(grid, c):
             nd = d + cost
             if nd < dist.get(tuple(n), INF) - 1e-15:
                 dist[tuple(n)] = nd

@@ -23,6 +23,15 @@ def unsolvable_file(tmp_path):
     return str(path)
 
 
+@pytest.fixture()
+def corner_sealed_file(tmp_path):
+    # two diagonally touching obstacles: passable only by cutting the corner
+    g = Grid(3, 3, frozenset({Coord(1, 0), Coord(0, 1)}), (0, 0), (2, 2))
+    path = tmp_path / "corner.txt"
+    save_grid(g, path)
+    return str(path)
+
+
 class TestSelect:
     def test_memory_prints_dstar_lite(self, grid_file, capsys):
         assert main(["select", grid_file, "--priority", "memory"]) == 0
@@ -38,6 +47,11 @@ class TestSelect:
 
     def test_bad_priority_domain_error(self, grid_file, capsys):
         assert main(["select", grid_file, "--priority", "speed"]) == 1
+
+    def test_accepts_corner_cutting(self, corner_sealed_file, capsys):
+        assert main(["select", corner_sealed_file, "--priority", "memory",
+                     "--allow-corner-cutting"]) == 0
+        assert capsys.readouterr().out.strip() == "D_STAR_LITE"
 
 
 class TestSolve:
@@ -66,6 +80,14 @@ class TestEvaluate:
         assert len(lines) == 6  # header + 3 candidates + selected + flag
         assert lines[4] == "selected: D_STAR_LITE"
         assert lines[5] in ("selected_is_best: true", "selected_is_best: false")
+
+    def test_corner_cutting_flag_changes_reachability(self, corner_sealed_file, capsys):
+        assert main(["evaluate", corner_sealed_file, "--priority", "memory", "--reps", "1"]) == 1
+        assert "unreachable" in capsys.readouterr().err
+        assert main(["evaluate", corner_sealed_file, "--priority", "memory", "--reps", "1",
+                     "--allow-corner-cutting"]) == 0
+        rows = capsys.readouterr().out.strip().splitlines()[1:4]
+        assert [r.split(",")[6] for r in rows] == ["2.828"] * 3
 
 
 class TestGen:

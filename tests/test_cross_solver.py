@@ -77,12 +77,16 @@ def test_determinism_across_processes():
     # iteration-order nondeterminism into paths, counts, or bytes.
     # PYTHONHASHSEED only changes str/bytes hashing, so this catches order
     # taken from sets or dicts keyed by strings (e.g. AlgorithmId names);
-    # integer Coord tuples hash the same under every seed.
+    # integer Coord tuples hash the same under every seed.  The wall grid is
+    # there because a neighbour order taken from str hashes leaves every
+    # reading on the small random grid unchanged but moves RTAA*'s
+    # expansion count on the wall grid.
     snippet = (
         "import gridbench as gb\n"
         "print(gb.__file__)\n"
         "g = gb.generate_random_grid(gb.RandomGridSpec(n=18, density=0.3, sg_distance=12, seed=4))\n"
-        "outs = [gb.solve(g, a) for a in gb.AlgorithmId]\n"
+        "w = gb.generate_wall_grid(gb.WallGridSpec(num_walls=7, wall_length=21))\n"
+        "outs = [gb.solve(x, a) for x in (g, w) for a in gb.AlgorithmId]\n"
         "print([ (o.path_cost, o.expanded, o.peak_memory_bytes, len(o.path)) for o in outs])\n"
     )
     # The child finds the package where this process imported it, whether

@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from gridbench import (
     AdjacencyError,
@@ -16,7 +16,8 @@ from gridbench import (
     parse_grid,
     step_cost,
 )
-from helpers import dijkstra_from
+from gridbench.grid import BLOCKED, FREE, neighbor_cells
+from helpers import dijkstra_from, grid_neighbors, reference_neighbors
 
 SQRT2 = math.sqrt(2)
 
@@ -103,6 +104,62 @@ class TestNeighbors:
                 ns = g.neighbors8((x, y))
                 assert 0 <= len(ns) <= 8
                 assert all(g.is_traversable(n) for n, _ in ns)
+
+
+@st.composite
+def small_grids(draw):
+    w, h = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    cells = [(x, y) for y in range(h) for x in range(w)]
+    start, goal = draw(st.sampled_from(cells)), draw(st.sampled_from(cells))
+    blocked = draw(st.sets(st.sampled_from(cells))) - {start, goal}
+    return Grid(w, h, frozenset(blocked), start, goal, draw(st.booleans()))
+
+
+class TestNeighborTableEquivalence:
+    """The padded-id neighbour table against the coordinate reference."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_grids())
+    def test_neighbors8_matches_reference(self, g):
+        for y in range(g.height):
+            for x in range(g.width):
+                if g.is_traversable((x, y)):
+                    assert g.neighbors8((x, y)) == grid_neighbors(g, (x, y))
+                else:
+                    with pytest.raises(InvalidCellError):
+                        g.neighbors8((x, y))
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_grids(), st.data())
+    def test_toggled_flag_copy_matches_reference(self, g, data):
+        # a planner's mutable copy of the flags after obstacle toggles
+        flags = bytearray(g.flags)
+        blocked = set(g.blocked)
+        toggles = data.draw(st.lists(
+            st.tuples(st.integers(0, g.width - 1), st.integers(0, g.height - 1)), max_size=12))
+        for c in toggles:
+            if c in blocked:
+                blocked.discard(c)
+                flags[g.index(c)] = FREE
+            else:
+                blocked.add(c)
+                flags[g.index(c)] = BLOCKED
+
+        def is_free(x, y):
+            return (x, y) not in blocked
+
+        # every cell, blocked ones too: incremental planners expand blocked cells
+        for y in range(g.height):
+            for x in range(g.width):
+                got = [(g.coord(j), c) for j, c in neighbor_cells(g.index((x, y)), flags, g.steps)]
+                assert got == reference_neighbors((x, y), g.width, g.height, is_free,
+                                                  g.allow_corner_cutting)
+
+    def test_index_round_trip(self):
+        g = empty_grid(5, 3)
+        ids = [g.index((x, y)) for y in range(3) for x in range(5)]
+        assert ids == sorted(set(ids))
+        assert [g.coord(i) for i in ids] == [(x, y) for y in range(3) for x in range(5)]
 
 
 class TestHeuristic:

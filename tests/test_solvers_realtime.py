@@ -7,6 +7,7 @@ from gridbench import (
     AllocationProbe,
     Coord,
     Grid,
+    InvalidCellError,
     NoPathError,
     RandomGridSpec,
     astar_oracle,
@@ -103,6 +104,15 @@ class TestLrtaHeuristicUpdates:
         for s in agent.last_closed:
             expected = min(c + agent.h_value(n) for n, c in g.neighbors8(s))
             assert agent.h_value(s) == pytest.approx(expected, abs=1e-9)
+
+
+def test_h_value_rejects_out_of_bounds_cells():
+    g = Grid(5, 5, frozenset(), (0, 0), (4, 4))
+    agent = RealTimeAgent(g, SolverParams(), AllocationProbe(), adaptive=True)
+    assert agent.h_value((4, 4)) == 0.0
+    for cell in ((-1, 0), (5, 0), (0, 5), (6, 0)):
+        with pytest.raises(InvalidCellError):
+            agent.h_value(cell)
 
 
 class TestTrajectories:
