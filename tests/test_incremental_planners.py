@@ -7,6 +7,8 @@ what the A* oracle finds on that grid from the agent's cell, and the
 planner must report NoPathError exactly when the oracle does.
 """
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -155,3 +157,55 @@ def test_out_of_bounds_toggle_rejected(cls):
     for cell in ((-1, 0), (5, 0), (0, 4), (7, 1)):
         with pytest.raises(InvalidCellError):
             planner.set_blocked(cell)
+
+
+def _dstar_lite_script(seed):
+    """Twelve toggles on a 20/30/40-cell grid, the agent moving 3 steps before every other one.
+
+    Every repair is checked against the oracle; returns the total expansions.
+    """
+    n = (20, 30, 40)[seed % 3]
+    grid = generate_random_grid(RandomGridSpec(n=n, density=0.25, sg_distance=0.6 * n, seed=seed))
+    planner = _DStarLite(grid)
+    blocked = set(grid.blocked)
+    rng = random.Random(seed)
+    path = _check(planner, grid, blocked)
+    for event in range(12):
+        if event % 2 == 1 and path is not None and len(path) > 4:
+            planner.advance(3)
+        while True:
+            if path is not None and rng.random() < 0.5:
+                cell = tuple(path[rng.randrange(len(path))])
+            else:
+                cell = (rng.randrange(n), rng.randrange(n))
+            if cell not in (tuple(grid.goal), tuple(planner.position)):
+                break
+        now_blocked = cell not in blocked
+        planner.toggle(cell, now_blocked)
+        (blocked.add if now_blocked else blocked.discard)(cell)
+        path = _check(planner, grid, blocked)
+    return planner.p.expanded
+
+
+# seed -> total expansions of the script; k_m keeps every queued key a lower
+# bound while the agent moves, so a planner that drops it expands a
+# different set of cells (and, on seed 3, repairs to a wrong cost)
+SCRIPTED_EXPANSIONS = {
+    0: 169,
+    1: 543,
+    2: 453,
+    3: 171,
+    4: 744,
+    5: 517,
+    6: 212,
+    7: 433,
+    8: 989,
+    9: 245,
+    10: 101,
+    11: 560,
+}
+
+
+@pytest.mark.parametrize("seed", sorted(SCRIPTED_EXPANSIONS))
+def test_dstar_lite_scripted_replans(seed):
+    assert _dstar_lite_script(seed) == SCRIPTED_EXPANSIONS[seed]
