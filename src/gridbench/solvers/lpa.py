@@ -78,8 +78,11 @@ class GRhsPlanner:
         g, rhs, open_ = self._g, self._rhs, self._open
         target = self._target
         while open_:
-            top = open_.peek()
-            if not (top[0] < self._key(target) or rhs.get(target) != g.get(target)):
+            (k1, k2), _ = open_.peek()
+            t1, t2 = self._key(target)
+            # k1 values within 1e-9 tie: one ulp of rounding must not end the search
+            if not (k1 < t1 - 1e-9 or (k1 <= t1 + 1e-9 and k2 < t2)
+                    or rhs.get(target) != g.get(target)):
                 break
             k_old, u = open_.pop()
             k_new = self._key(u)

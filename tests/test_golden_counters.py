@@ -24,9 +24,9 @@ WALL_7_21 = {
     A.LRTA_STAR: ("147.68124086713183", 22177, 144256, 123),
     A.RTAA_STAR: ("174.16652224137056", 28468, 118728, 147),
     A.ARA_STAR: ("135.1959594928932", 3473, 330736, 113),
-    A.LPA_STAR: ("135.1959594928932", 1806, 279216, 113),
+    A.LPA_STAR: ("135.1959594928932", 1811, 279808, 113),
     A.D_STAR: ("135.19595949289322", 2049, 280128, 113),
-    A.D_STAR_LITE: ("135.1959594928932", 1785, 277696, 113),
+    A.D_STAR_LITE: ("135.1959594928932", 1790, 278288, 113),
     A.ASTAR_ORACLE: ("135.1959594928932", 1800, 277480, 113),
 }
 

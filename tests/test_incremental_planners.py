@@ -10,7 +10,7 @@ planner must report NoPathError exactly when the oracle does.
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gridbench import (
     DStarLitePlanner,
@@ -111,6 +111,10 @@ def _check(planner, grid, blocked):
 
 @pytest.mark.parametrize("make", [_Lpa, _DStar, _DStarLite], ids=["LPA*", "D*", "D* Lite"])
 @settings(max_examples=60, deadline=None)
+# a k1 one ulp above the target's once stopped the repair before it began
+@example(n=11, density=0.0, seed=2551, corner_cutting=False, ops=[("near", 0, 6), ("toggle", 6, 6)])
+@example(n=10, density=0.15, seed=195215, corner_cutting=False,
+         ops=[("near", 2, 5), ("toggle", 2, 2), ("toggle", 5, 3)])
 @given(
     n=st.integers(4, MAX_SIDE),
     density=st.sampled_from([0.0, 0.15, 0.3]),
@@ -197,12 +201,16 @@ SCRIPTED_EXPANSIONS = {
     3: 171,
     4: 744,
     5: 517,
-    6: 212,
+    6: 214,
     7: 433,
     8: 989,
-    9: 245,
+    9: 246,
     10: 101,
     11: 560,
+    # the early stop on float key ties broke repairs of these three
+    17: 1088,
+    23: 1277,
+    57: 63,
 }
 
 
