@@ -46,7 +46,8 @@ def quick_sweeps(seed: int):
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--out", default="results")
+    ap.add_argument("--out", default=None,
+                    help="output directory (default: the plan's output_dir, else results)")
     ap.add_argument("--config", default=None, help="run plan file (overrides --quick/--seed)")
     ap.add_argument("--quick", action="store_true")
     ap.add_argument("--seed", type=int, default=0)
@@ -56,9 +57,9 @@ def main() -> int:
         plan = parse_config(args.config)
         sweeps, out_dir = plan.sweeps, args.out or plan.output_dir
     elif args.quick:
-        sweeps, out_dir = quick_sweeps(args.seed), args.out
+        sweeps, out_dir = quick_sweeps(args.seed), args.out or "results"
     else:
-        sweeps, out_dir = default_sweeps(seed=args.seed), args.out
+        sweeps, out_dir = default_sweeps(seed=args.seed), args.out or "results"
 
     os.makedirs(out_dir, exist_ok=True)
     for cfg in sweeps:

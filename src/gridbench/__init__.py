@@ -22,11 +22,9 @@ from .errors import (
 from .grid import (
     Coord,
     Grid,
-    Move,
     euclidean_heuristic,
     format_grid,
     load_grid,
-    moves_of,
     parse_grid,
     save_grid,
     step_cost,
@@ -52,14 +50,8 @@ from .solvers import (
     SolverParams,
     TieBreak,
     ara_star_iterates,
-    ara_star_solve,
     astar_oracle,
-    dstar_lite_solve,
-    dstar_solve,
-    lpa_star_solve,
-    lrta_star_solve,
     path_cost_of,
-    rtaa_star_solve,
     solve,
 )
 from .metrics import AggregateStats, RunMetrics, aggregate, measure_run, run_repetitions
@@ -76,7 +68,6 @@ from .selector import (
     DEFAULT_DISTANCE_THRESHOLD,
     Priority,
     SelectionRequest,
-    compute_euclidean_distance,
     evaluate_selection,
     parse_priority,
     select_algorithm,

@@ -59,30 +59,6 @@ def step_cost(a, b) -> float:
     return SQRT2 if dx != 0 and dy != 0 else 1.0
 
 
-@dataclass(frozen=True)
-class Move:
-    """One executed step between adjacent cells; cost is 1 or sqrt(2)."""
-
-    src: Coord
-    dst: Coord
-    cost: float
-
-    def __post_init__(self):
-        expected = step_cost(self.src, self.dst)
-        if self.cost != expected:
-            raise AdjacencyError(
-                f"move {tuple(self.src)} -> {tuple(self.dst)} must cost {expected}, got {self.cost}"
-            )
-
-
-def moves_of(path) -> list[Move]:
-    """Decompose a cell chain into validated moves."""
-    return [
-        Move(Coord(a[0], a[1]), Coord(b[0], b[1]), step_cost(a, b))
-        for a, b in zip(path, path[1:])
-    ]
-
-
 # Flag values of the padded cell array.  The array holds the grid
 # row-major with a one-cell border of OUTSIDE around it, so every cell of
 # the grid has all eight neighbour ids inside the array and neighbour

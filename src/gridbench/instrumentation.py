@@ -42,12 +42,7 @@ class AllocationProbe:
 
 
 class TrackedMap:
-    """Dict wrapper with per-entry byte accounting and a default for misses.
-
-    ``default`` may be a plain value or a callable taking the key; the
-    latter backs heuristic stores whose unset entries read as the Euclidean
-    estimate.
-    """
+    """Dict wrapper with per-entry byte accounting and a default for misses."""
 
     __slots__ = ("data", "_probe", "_entry_bytes", "_default")
 
@@ -58,10 +53,7 @@ class TrackedMap:
         self._default = default
 
     def get(self, key):
-        if key in self.data:
-            return self.data[key]
-        d = self._default
-        return d(key) if callable(d) else d
+        return self.data.get(key, self._default)
 
     def __getitem__(self, key):
         return self.get(key)

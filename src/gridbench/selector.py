@@ -65,16 +65,12 @@ class SelectionRequest:
             )
 
 
-def compute_euclidean_distance(start, goal) -> float:
-    return euclidean_heuristic(start, goal)
-
-
 def select_algorithm(req: SelectionRequest) -> AlgorithmId:
     """Pure decision function; only start/goal of the grid are consulted."""
     if req.priority in (Priority.MEMORY, Priority.PATH_COST):
         return AlgorithmId.D_STAR_LITE
     if req.priority is Priority.SOLVING_TIME:
-        d = compute_euclidean_distance(req.grid.start, req.grid.goal)
+        d = euclidean_heuristic(req.grid.start, req.grid.goal)
         if d >= req.distance_threshold:
             return AlgorithmId.RTAA_STAR
         return AlgorithmId.ARA_STAR

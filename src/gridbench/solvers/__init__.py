@@ -58,30 +58,6 @@ def astar_oracle(grid, params=None, probe=None) -> SearchOutcome:
     return solve(grid, AlgorithmId.ASTAR_ORACLE, params, probe)
 
 
-def lrta_star_solve(grid, params=None, probe=None) -> SearchOutcome:
-    return solve(grid, AlgorithmId.LRTA_STAR, params, probe)
-
-
-def rtaa_star_solve(grid, params=None, probe=None) -> SearchOutcome:
-    return solve(grid, AlgorithmId.RTAA_STAR, params, probe)
-
-
-def ara_star_solve(grid, params=None, probe=None) -> SearchOutcome:
-    return solve(grid, AlgorithmId.ARA_STAR, params, probe)
-
-
-def lpa_star_solve(grid, params=None, probe=None) -> SearchOutcome:
-    return solve(grid, AlgorithmId.LPA_STAR, params, probe)
-
-
-def dstar_solve(grid, params=None, probe=None) -> SearchOutcome:
-    return solve(grid, AlgorithmId.D_STAR, params, probe)
-
-
-def dstar_lite_solve(grid, params=None, probe=None) -> SearchOutcome:
-    return solve(grid, AlgorithmId.D_STAR_LITE, params, probe)
-
-
 def ara_star_iterates(grid, params=None, probe=None) -> list:
     """(weight, published cost) per improvement round, in execution order."""
     params = params or SolverParams()
@@ -99,12 +75,6 @@ __all__ = [
     "path_cost_of",
     "solve",
     "astar_oracle",
-    "lrta_star_solve",
-    "rtaa_star_solve",
-    "ara_star_solve",
-    "lpa_star_solve",
-    "dstar_solve",
-    "dstar_lite_solve",
     "ara_star_iterates",
     "DStarPlanner",
     "DStarLitePlanner",

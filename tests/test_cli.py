@@ -1,4 +1,7 @@
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -130,6 +133,26 @@ class TestSweep:
         assert sum(1 for f in files if f.endswith(".svg")) == 3
         csv_lines = (out_dir / "grid_size.csv").read_text().splitlines()
         assert len(csv_lines) == 5  # header + 2 values x 2 algorithms
+
+    def test_run_sweeps_script_writes_to_plan_dir(self, tmp_path):
+        cfg = tmp_path / "plan.cfg"
+        cfg.write_text(
+            "sweeps=grid_size\n"
+            "grid_size.values=8\n"
+            "size=10\nsg_distance=6\ndensity=0.15\n"
+            "algorithms=ASTAR_ORACLE\n"
+            "instances_per_point=1\nreps=1\n"
+            f"output_dir={tmp_path / 'plan_out'}\n"
+        )
+        script = Path(__file__).resolve().parent.parent / "scripts" / "run_sweeps.py"
+        # an empty working directory: a stray default "results" would land here
+        run_dir = tmp_path / "cwd"
+        run_dir.mkdir()
+        proc = subprocess.run([sys.executable, str(script), "--config", str(cfg)],
+                              cwd=run_dir, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "plan_out" / "grid_size.csv").exists()
+        assert os.listdir(run_dir) == []
 
     def test_bad_config_exit_one(self, tmp_path):
         cfg = tmp_path / "bad.cfg"

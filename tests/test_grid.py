@@ -9,10 +9,8 @@ from gridbench import (
     Grid,
     GridFormatError,
     InvalidCellError,
-    Move,
     euclidean_heuristic,
     format_grid,
-    moves_of,
     parse_grid,
     step_cost,
 )
@@ -216,22 +214,6 @@ class TestStepCost:
             return
         a, b = (x, y), (x + dx, y + dy)
         assert step_cost(a, b) == step_cost(b, a)
-
-
-class TestMoves:
-    def test_moves_of_chain(self):
-        path = [(0, 0), (1, 0), (2, 1)]
-        ms = moves_of(path)
-        assert [m.cost for m in ms] == [1.0, SQRT2]
-        assert ms[0].src == (0, 0) and ms[1].dst == (2, 1)
-
-    def test_wrong_cost_rejected(self):
-        with pytest.raises(AdjacencyError):
-            Move(Coord(0, 0), Coord(1, 1), 1.0)
-
-    def test_non_adjacent_rejected(self):
-        with pytest.raises(AdjacencyError):
-            Move(Coord(0, 0), Coord(2, 0), 1.0)
 
 
 class TestGridValidation:

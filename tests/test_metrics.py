@@ -86,11 +86,6 @@ class TestProbe:
         assert p.live_bytes == 0
         assert p.peak_bytes == 20
 
-    def test_tracked_map_callable_default(self):
-        p = AllocationProbe()
-        m = TrackedMap(p, default=lambda k: k[0] * 10.0)
-        assert m.get((3, 0)) == 30.0
-
     def test_tracked_set_accounting(self):
         p = AllocationProbe()
         s = TrackedSet(p, entry_bytes=8)

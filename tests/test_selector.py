@@ -8,7 +8,7 @@ from gridbench import (
     Priority,
     RandomGridSpec,
     SelectionRequest,
-    compute_euclidean_distance,
+    euclidean_heuristic,
     evaluate_selection,
     generate_random_grid,
     parse_priority,
@@ -19,17 +19,6 @@ from gridbench import (
 def grid_with_distance(dx, dy):
     w, h = dx + 2, dy + 2
     return Grid(w, h, frozenset(), (0, 0), (dx, dy))
-
-
-class TestDistance:
-    def test_three_four_five(self):
-        assert compute_euclidean_distance((0, 0), (3, 4)) == 5.0
-
-    def test_equal_points(self):
-        assert compute_euclidean_distance((2, 9), (2, 9)) == 0.0
-
-    def test_wall_grid_distance(self):
-        assert compute_euclidean_distance((1, 1), (29, 69)) == pytest.approx(73.539, abs=1e-3)
 
 
 class TestTruthTable:
@@ -51,7 +40,7 @@ class TestTruthTable:
 
     def test_boundary_selects_rtaa(self):
         req = SelectionRequest(grid=grid_with_distance(140, 0), priority=Priority.SOLVING_TIME)
-        assert compute_euclidean_distance(req.grid.start, req.grid.goal) == 140.0
+        assert euclidean_heuristic(req.grid.start, req.grid.goal) == 140.0
         assert select_algorithm(req) is AlgorithmId.RTAA_STAR
 
     @given(st.integers(1, 300), st.integers(1, 400))

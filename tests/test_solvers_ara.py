@@ -6,7 +6,6 @@ from gridbench import (
     NoPathError,
     RandomGridSpec,
     ara_star_iterates,
-    ara_star_solve,
     astar_oracle,
     generate_random_grid,
     solve,
@@ -51,7 +50,7 @@ class TestSuboptimalityBounds:
     def test_final_cost_optimal(self):
         for seed in range(15):
             g = generate_random_grid(RandomGridSpec(n=20, density=0.3, sg_distance=13, seed=seed))
-            out = ara_star_solve(g)
+            out = solve(g, AlgorithmId.ARA_STAR)
             assert out.path_cost == pytest.approx(astar_oracle(g).path_cost, abs=1e-9)
             assert_valid_path(g, out.path, out.path_cost)
 
