@@ -55,11 +55,12 @@ def main() -> int:
 
     if args.config:
         plan = parse_config(args.config)
-        sweeps, out_dir = plan.sweeps, args.out or plan.output_dir
+        sweeps, out_dir = plan.sweeps, plan.output_dir
     elif args.quick:
-        sweeps, out_dir = quick_sweeps(args.seed), args.out or "results"
+        sweeps, out_dir = quick_sweeps(args.seed), "results"
     else:
-        sweeps, out_dir = default_sweeps(seed=args.seed), args.out or "results"
+        sweeps, out_dir = default_sweeps(seed=args.seed), "results"
+    out_dir = args.out or out_dir
 
     os.makedirs(out_dir, exist_ok=True)
     for cfg in sweeps:
