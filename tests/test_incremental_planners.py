@@ -217,3 +217,45 @@ SCRIPTED_EXPANSIONS = {
 @pytest.mark.parametrize("seed", sorted(SCRIPTED_EXPANSIONS))
 def test_dstar_lite_scripted_replans(seed):
     assert _dstar_lite_script(seed) == SCRIPTED_EXPANSIONS[seed]
+
+
+def _blocks_on_path(make, moves):
+    """Six blocks on the 60x60 golden grid, each at the middle of the current path.
+
+    With ``moves`` the agent first takes two steps along that path (from the
+    second block on).  Every repair is checked against the oracle; returns
+    the summed expansions and the probe's peak bytes.
+    """
+    grid = generate_random_grid(RandomGridSpec(n=60, density=0.3, sg_distance=40, seed=3))
+    planner = make(grid)
+    blocked = set(grid.blocked)
+    path = _check(planner, grid, blocked)
+    for block in range(6):
+        if moves and block:
+            if hasattr(planner, "advance"):
+                planner.advance(2)
+            else:
+                planner.position = path[2]
+            assert planner.position == path[2]
+            path = path[2:]
+        cell = tuple(path[len(path) // 2])
+        planner.toggle(cell, True)
+        blocked.add(cell)
+        path = _check(planner, grid, blocked)
+        assert path is not None
+    return planner.p.expanded, planner.p.probe.peak_bytes
+
+
+# planner -> (summed expansions, peak bytes) of the script above; the
+# memory column must not move when the planners' value stores change
+REPAIR_COUNTERS = {
+    "LPA*": (_Lpa, False, (2087, 188992)),
+    "D*": (_DStar, True, (4301, 287264)),
+    "D* Lite": (_DStarLite, True, (1862, 166752)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REPAIR_COUNTERS))
+def test_repair_counters_pinned(name):
+    make, moves, expected = REPAIR_COUNTERS[name]
+    assert _blocks_on_path(make, moves) == expected
