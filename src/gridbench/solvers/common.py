@@ -107,7 +107,7 @@ def tie_term(g: float, tie_break: TieBreak) -> float:
 
 def path_cost_of(path) -> float:
     """Sum of step costs along a chain of 8-neighbor moves."""
-    return sum(step_cost(path[i], path[i + 1]) for i in range(len(path) - 1))
+    return sum((step_cost(path[i], path[i + 1]) for i in range(len(path) - 1)), 0.0)
 
 
 def reconstruct(parents, end, origin) -> list:
