@@ -10,28 +10,21 @@ On an arc-cost change (an obstacle toggled), affected CLOSED cells
 re-enter the open list and processing resumes until the robot's cell is
 again provably optimal.  On a static grid the initial run is a plain
 backward uniform-cost sweep.  The whole record store is kept; its
-footprint is part of what the benchmarks measure.
+footprint is part of what the benchmarks measure.  The store is four
+dense arrays indexed by padded id (tag, h, k, back-pointer), but the
+probe charges one record per cell that has left NEW, as a hashed store
+of only the touched cells would hold.
 """
 
 from __future__ import annotations
 
 from ..errors import InvalidCellError, NoPathError
 from ..grid import BLOCKED, OUTSIDE
-from ..instrumentation import RECORD_ENTRY_BYTES, AllocationProbe, TrackedMap
+from ..instrumentation import RECORD_ENTRY_BYTES, AllocationProbe
 from ..pqueue import LazyHeap
 from .common import INF, SolverParams, path_cost_of, toggle_cell
 
 _NEW, _OPEN, _CLOSED = 0, 1, 2
-
-
-class _Record:
-    __slots__ = ("tag", "h", "k", "back")
-
-    def __init__(self):
-        self.tag = _NEW
-        self.h = INF
-        self.k = INF
-        self.back = None
 
 
 class DStarPlanner:
@@ -42,16 +35,15 @@ class DStarPlanner:
         # padded flags of the planner's own (mutable) copy of the grid
         self._flags = bytearray(grid.flags)
         self._steps = grid.steps
-        self._records = TrackedMap(self.probe, entry_bytes=RECORD_ENTRY_BYTES)
+        # the record store, one slot per padded id: a cell holds a record
+        # once its tag leaves _NEW, and only then is it charged to the probe
+        size = len(self._flags)
+        self._tag = bytearray(size)
+        self._h = [INF] * size
+        self._k = [INF] * size
+        self._back = [-1] * size  # -1: no back-pointer
         self._open = LazyHeap(self.probe)
         self.expanded = 0
-
-    def _rec(self, s) -> _Record:
-        r = self._records.data.get(s)
-        if r is None:
-            r = _Record()
-            self._records[s] = r
-        return r
 
     def _arcs(self, i):
         """All in-grid 8-neighbors with arc cost, INF for unusable arcs."""
@@ -70,16 +62,18 @@ class DStarPlanner:
         return out
 
     def _insert(self, s, h_new: float) -> None:
-        r = self._rec(s)
-        if r.tag == _NEW:
-            r.k = h_new
-        elif r.tag == _OPEN:
-            r.k = min(r.k, h_new)
+        tag = self._tag[s]
+        if tag == _NEW:
+            self.probe.alloc(RECORD_ENTRY_BYTES)
+            k = h_new
+        elif tag == _OPEN:
+            k = min(self._k[s], h_new)
         else:
-            r.k = min(r.h, h_new)
-        r.h = h_new
-        r.tag = _OPEN
-        self._open.push(s, (r.k,))
+            k = min(self._h[s], h_new)
+        self._k[s] = k
+        self._h[s] = h_new
+        self._tag[s] = _OPEN
+        self._open.push(s, (k,))
 
     def _kmin(self) -> float:
         top = self._open.peek()
@@ -90,60 +84,49 @@ class DStarPlanner:
         if not open_:
             return -1.0
         (k_old,), x = open_.pop()
-        records = self._records.data
-        r = records[x]  # every queued cell has a record
-        r.tag = _CLOSED
+        tag, h, back, insert = self._tag, self._h, self._back, self._insert
+        tag[x] = _CLOSED
         self.expanded += 1
         self.probe.expand(x)
         arcs = self._arcs(x)
-        if k_old < r.h:
+        if k_old < h[x]:
             # RAISE: try to reroute through an already-settled neighbor
+            # (a cell without a record has h = INF and never qualifies)
             for y, c in arcs:
-                ry = records.get(y)
-                if ry is not None and ry.h <= k_old and r.h > ry.h + c:
-                    r.back = y
-                    r.h = ry.h + c
-        rh = r.h  # fixed from here on: the loops below update only neighbours
+                hy = h[y]
+                if hy <= k_old and h[x] > hy + c:
+                    back[x] = y
+                    h[x] = hy + c
+        rh = h[x]  # fixed from here on: the loops below update only neighbours
         if k_old == rh:
-            # LOWER: propagate the settled cost to neighbors
+            # LOWER: propagate the settled cost to neighbors; a cell without
+            # a record (h = INF, back = -1) gets one when nh is finite
             for y, c in arcs:
-                ry = records.get(y)
                 nh = rh + c
-                if ry is None:
-                    if nh < INF:
-                        ry = self._rec(y)
-                        ry.back = x
-                        self._insert(y, nh)
-                elif (ry.back == x and ry.h != nh) or (ry.back != x and ry.h > nh):
-                    ry.back = x
-                    self._insert(y, nh)
+                if (back[y] == x and h[y] != nh) or (back[y] != x and h[y] > nh):
+                    back[y] = x
+                    insert(y, nh)
         else:
             # still raised: re-expand descendants and enlist possible rescuers
             for y, c in arcs:
-                ry = records.get(y)
                 nh = rh + c
-                if ry is None:
+                if tag[y] == _NEW:
                     if nh < INF:
-                        ry = self._rec(y)
-                        ry.back = x
-                        self._insert(y, nh)
-                elif ry.back == x and ry.h != nh:
-                    ry.back = x
-                    self._insert(y, nh)
-                elif ry.back != x and ry.h > nh:
-                    self._insert(x, rh)
-                elif ry.back != x and rh > ry.h + c and ry.tag == _CLOSED and ry.h > k_old:
-                    self._insert(y, ry.h)
+                        back[y] = x
+                        insert(y, nh)
+                elif back[y] == x and h[y] != nh:
+                    insert(y, nh)
+                elif back[y] != x and h[y] > nh:
+                    insert(x, rh)
+                elif back[y] != x and rh > h[y] + c and tag[y] == _CLOSED and h[y] > k_old:
+                    insert(y, h[y])
         return self._kmin()
 
     def initial_run(self) -> None:
         """Settle costs outward from the goal until the start is closed."""
         start = self.grid.index(self.grid.start)
         self._insert(self.grid.index(self.grid.goal), 0.0)
-        while True:
-            r = self._records.data.get(start)
-            if r is not None and r.tag == _CLOSED:
-                break
+        while self._tag[start] != _CLOSED:
             if self._open.peek() is None:
                 raise NoPathError(
                     f"no path from {tuple(self.grid.start)} to {tuple(self.grid.goal)}"
@@ -157,9 +140,8 @@ class DStarPlanner:
         flags = self._flags
         affected = [i] + [i + off for off, _, _, _ in self._steps if flags[i + off] != OUTSIDE]
         for s in affected:
-            r = self._records.data.get(s)
-            if r is not None and r.tag == _CLOSED:
-                self._insert(s, r.h)
+            if self._tag[s] == _CLOSED:
+                self._insert(s, self._h[s])
 
     def _cell_id(self, cell) -> int:
         if not self.grid.in_bounds(cell):
@@ -170,28 +152,23 @@ class DStarPlanner:
         """Process until the cost at ``position`` is again provably optimal."""
         position = self._cell_id(position)
         while True:
-            r = self._records.data.get(position)
-            href = r.h if r is not None else INF
             k = self._kmin()
-            if k < 0 or k >= href:
+            if k < 0 or k >= self._h[position]:
                 break
             self._process_state()
 
     def extract_path(self, origin=None) -> list:
         origin = self._cell_id(origin if origin is not None else self.grid.start)
         coord = self.grid.coord
-        records = self._records.data
-        r = records.get(origin)
-        if r is None or r.h == INF:
+        if self._h[origin] == INF:
             raise NoPathError(f"no path from {tuple(coord(origin))} to {tuple(self.grid.goal)}")
         goal = self.grid.index(self.grid.goal)
         path = [origin]
         cur = origin
         limit = self.grid.width * self.grid.height + 1
         while cur != goal:
-            rc = records.get(cur)
-            nxt = rc.back if rc is not None else None
-            if nxt is None:
+            nxt = self._back[cur]
+            if nxt < 0:
                 raise NoPathError(f"broken back-pointer chain at {tuple(coord(cur))}")
             arc = dict(self._arcs(cur)).get(nxt, INF)
             if arc == INF:

@@ -18,9 +18,11 @@ from math import hypot
 
 from ..errors import NoPathError
 from ..grid import neighbor_cells
-from ..instrumentation import AllocationProbe, TrackedMap
+from ..instrumentation import MAP_ENTRY_BYTES, AllocationProbe
 from ..pqueue import LazyHeap
 from .common import INF, SolverParams, cells_around, toggle_cell
+
+_HAS_G, _HAS_RHS = 1, 2  # bits of GRhsPlanner._held
 
 
 class GRhsPlanner:
@@ -38,22 +40,49 @@ class GRhsPlanner:
         self._steps = grid.steps
         self._stride = grid.width + 2
         self._root = grid.index(root)
-        self._g = TrackedMap(self.probe, default=INF)
-        self._rhs = TrackedMap(self.probe, default=INF)
+        # g and rhs are dense arrays indexed by padded id; ``_held`` marks the
+        # cells that hold a g / rhs entry, and each entry is charged to the
+        # probe at its first write, as a hashed map of touched cells would be
+        size = len(self._flags)
+        self._g = [INF] * size
+        self._rhs = [INF] * size
+        self._held = bytearray(size)
+        # each cell's neighbour list, built on first use; ``set_blocked``
+        # drops the lists around the toggled cell.  Not charged: like the
+        # flags it is substrate, not search state
+        self._nbrs = [None] * size
         self._open = LazyHeap(self.probe)
         self.expanded = 0
         self._aim(grid.index(target))
         self._last = self._target
         self._k_m = 0.0
-        self._rhs[self._root] = 0.0
+        self._set_rhs(self._root, 0.0)
         self._open.push(self._root, self._key(self._root))
 
     def _aim(self, i: int) -> None:
         self._target = i
         self._tx, self._ty = i % self._stride, i // self._stride
 
+    def _neighbors(self, i) -> list:
+        nbrs = self._nbrs[i]
+        if nbrs is None:
+            nbrs = self._nbrs[i] = neighbor_cells(i, self._flags, self._steps)
+        return nbrs
+
+    def _set_g(self, s, v: float) -> None:
+        if not self._held[s] & _HAS_G:
+            self._held[s] |= _HAS_G
+            self.probe.alloc(MAP_ENTRY_BYTES)
+        self._g[s] = v
+
+    def _set_rhs(self, s, v: float) -> None:
+        if not self._held[s] & _HAS_RHS:
+            self._held[s] |= _HAS_RHS
+            self.probe.alloc(MAP_ENTRY_BYTES)
+        self._rhs[s] = v
+
     def _key(self, s):
-        m = min(self._g.get(s), self._rhs.get(s))
+        m = min(self._g[s], self._rhs[s])
         return (m + hypot(self._tx - s % self._stride, self._ty - s // self._stride) + self._k_m, m)
 
     def _no_path(self) -> NoPathError:
@@ -64,13 +93,14 @@ class GRhsPlanner:
         if s != self._root:
             rhs = INF
             if not self._flags[s]:
-                for n, c in neighbor_cells(s, self._flags, self._steps):
-                    v = self._g.get(n) + c
+                g = self._g
+                for n, c in self._neighbors(s):
+                    v = g[n] + c
                     if v < rhs:
                         rhs = v
-            self._rhs[s] = rhs
+            self._set_rhs(s, rhs)
         self._open.remove(s)
-        if self._g.get(s) != self._rhs.get(s):
+        if self._g[s] != self._rhs[s]:
             self._open.push(s, self._key(s))
 
     def compute(self) -> None:
@@ -82,7 +112,7 @@ class GRhsPlanner:
             t1, t2 = self._key(target)
             # k1 values within 1e-9 tie: one ulp of rounding must not end the search
             if not (k1 < t1 - 1e-9 or (k1 <= t1 + 1e-9 and k2 < t2)
-                    or rhs.get(target) != g.get(target)):
+                    or rhs[target] != g[target]):
                 break
             k_old, u = open_.pop()
             k_new = self._key(u)
@@ -92,14 +122,14 @@ class GRhsPlanner:
                 continue
             self.expanded += 1
             self.probe.expand(u)
-            if g.get(u) > rhs.get(u):
-                g[u] = rhs.get(u)
+            if g[u] > rhs[u]:
+                self._set_g(u, rhs[u])
             else:
-                g[u] = INF
+                self._set_g(u, INF)
                 self._update_vertex(u)
-            for n, _ in neighbor_cells(u, self._flags, self._steps):
+            for n, _ in self._neighbors(u):
                 self._update_vertex(n)
-        if g.get(target) == INF:
+        if g[target] == INF:
             raise self._no_path()
 
     def set_blocked(self, cell, blocked: bool = True) -> None:
@@ -110,15 +140,18 @@ class GRhsPlanner:
         stride, last = self._stride, self._last
         self._k_m += hypot(last % stride - self._tx, last // stride - self._ty)
         self._last = self._target
+        around = cells_around(i, self._flags, stride)
+        for j in around:
+            self._nbrs[j] = None
         self._update_vertex(i)
-        for j in cells_around(i, self._flags, stride):
+        for j in around:
             self._update_vertex(j)
 
     def _best_step(self, i):
         """The neighbour of ``i`` with the least step cost + g, and that sum."""
         best, best_val = None, INF
-        for n, c in neighbor_cells(i, self._flags, self._steps):
-            v = c + self._g.get(n)
+        for n, c in self._neighbors(i):
+            v = c + self._g[n]
             if v < best_val:
                 best, best_val = n, v
         return best, best_val
@@ -126,7 +159,7 @@ class GRhsPlanner:
     def extract_path(self) -> list:
         """Greedy descent along settled g values from the target to the root."""
         cur = self._target
-        if self._g.get(cur) == INF:
+        if self._g[cur] == INF:
             raise self._no_path()
         path = [cur]
         limit = self.grid.width * self.grid.height + 1
@@ -143,7 +176,7 @@ class GRhsPlanner:
 
     def solve(self) -> tuple:
         self.compute()
-        return self.extract_path(), self._g.get(self._target), self.expanded
+        return self.extract_path(), self._g[self._target], self.expanded
 
 
 class LpaStarPlanner(GRhsPlanner):

