@@ -61,6 +61,13 @@ class DStarPlanner:
                 out.append((j, cost))
         return out
 
+    def _arc(self, i, off, cost, fa, fb) -> float:
+        """The one arc of step ``(off, cost, fa, fb)`` out of cell ``i``, by the rule of ``_arcs``."""
+        flags = self._flags
+        if flags[i] or flags[i + off] or (fa and (flags[i + fa] or flags[i + fb])):
+            return INF
+        return cost
+
     def _insert(self, s, h_new: float) -> None:
         tag = self._tag[s]
         if tag == _NEW:
@@ -73,61 +80,79 @@ class DStarPlanner:
         self._k[s] = k
         self._h[s] = h_new
         self._tag[s] = _OPEN
-        self._open.push(s, (k,))
+        self._open.push(s, k)
 
     def _kmin(self) -> float:
         top = self._open.peek()
-        return top[0][0] if top is not None else -1.0
+        return top[0] if top is not None else -1.0
 
-    def _process_state(self) -> float:
+    def _process_state(self) -> None:
         open_ = self._open
         if not open_:
-            return -1.0
-        (k_old,), x = open_.pop()
+            return
+        k_old, x = open_.pop()
         tag, h, back, insert = self._tag, self._h, self._back, self._insert
         tag[x] = _CLOSED
         self.expanded += 1
         self.probe.expand(x)
-        arcs = self._arcs(x)
-        if k_old < h[x]:
+        rh = h[x]
+        if k_old < rh:
+            arcs = self._arcs(x)
             # RAISE: try to reroute through an already-settled neighbor
             # (a cell without a record has h = INF and never qualifies)
             for y, c in arcs:
                 hy = h[y]
-                if hy <= k_old and h[x] > hy + c:
+                if hy <= k_old and rh > hy + c:
                     back[x] = y
-                    h[x] = hy + c
-        rh = h[x]  # fixed from here on: the loops below update only neighbours
-        if k_old == rh:
-            # LOWER: propagate the settled cost to neighbors; a cell without
-            # a record (h = INF, back = -1) gets one when nh is finite
-            for y, c in arcs:
-                nh = rh + c
-                if (back[y] == x and h[y] != nh) or (back[y] != x and h[y] > nh):
-                    back[y] = x
-                    insert(y, nh)
-        else:
-            # still raised: re-expand descendants and enlist possible rescuers
-            for y, c in arcs:
-                nh = rh + c
-                if tag[y] == _NEW:
-                    if nh < INF:
-                        back[y] = x
+                    rh = h[x] = hy + c
+            if k_old < rh:
+                # still raised: re-expand descendants and enlist possible rescuers
+                for y, c in arcs:
+                    nh = rh + c
+                    if tag[y] == _NEW:
+                        if nh < INF:
+                            back[y] = x
+                            insert(y, nh)
+                    elif back[y] == x and h[y] != nh:
                         insert(y, nh)
-                elif back[y] == x and h[y] != nh:
+                    elif back[y] != x and h[y] > nh:
+                        insert(x, rh)
+                    elif back[y] != x and rh > h[y] + c and tag[y] == _CLOSED and h[y] > k_old:
+                        insert(y, h[y])
+                return
+        # LOWER: propagate the settled cost to neighbors; a cell without a
+        # record (h = INF, back = -1) gets one when nh is finite.  Every
+        # expansion of a static run lands here, so the arc rule of ``_arcs``
+        # is inlined and no list is built
+        flags = self._flags
+        x_blocked = flags[x]
+        for off, cost, fa, fb in self._steps:
+            y = x + off
+            f = flags[y]
+            if f == OUTSIDE:
+                continue
+            if x_blocked or f or (fa and (flags[x + fa] or flags[x + fb])):
+                nh = INF
+            else:
+                nh = rh + cost
+            if back[y] == x:
+                if h[y] != nh:
                     insert(y, nh)
-                elif back[y] != x and h[y] > nh:
-                    insert(x, rh)
-                elif back[y] != x and rh > h[y] + c and tag[y] == _CLOSED and h[y] > k_old:
-                    insert(y, h[y])
-        return self._kmin()
+            elif h[y] > nh:
+                back[y] = x
+                insert(y, nh)
 
     def initial_run(self) -> None:
         """Settle costs outward from the goal until the start is closed."""
         start = self.grid.index(self.grid.start)
         self._insert(self.grid.index(self.grid.goal), 0.0)
-        while self._tag[start] != _CLOSED:
-            if self._open.peek() is None:
+        while True:
+            # the peek also runs after the last expansion, so stale entries
+            # leave the heap (and the byte count) before any later push
+            top = self._open.peek()
+            if self._tag[start] == _CLOSED:
+                return
+            if top is None:
                 raise NoPathError(
                     f"no path from {tuple(self.grid.start)} to {tuple(self.grid.goal)}"
                 )
@@ -166,12 +191,13 @@ class DStarPlanner:
         path = [origin]
         cur = origin
         limit = self.grid.width * self.grid.height + 1
+        step_of = {step[0]: step for step in self._steps}
         while cur != goal:
             nxt = self._back[cur]
             if nxt < 0:
                 raise NoPathError(f"broken back-pointer chain at {tuple(coord(cur))}")
-            arc = dict(self._arcs(cur)).get(nxt, INF)
-            if arc == INF:
+            step = step_of.get(nxt - cur)
+            if step is None or self._arc(cur, *step) == INF:
                 raise NoPathError(f"back-pointer chain crosses a blocked arc at {tuple(coord(cur))}")
             cur = nxt
             path.append(cur)

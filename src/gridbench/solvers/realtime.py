@@ -42,7 +42,7 @@ from ..instrumentation import (
 from ..pqueue import LazyHeap
 from .common import SolverParams, TieBreak
 
-_N_ARRAYS = 5  # h, g, tree, generated-counter, expanded-counter
+_N_ARRAYS = 5  # h, g, tree, generated-counter, expanded-counter (negated once settled)
 
 
 class RealTimeAgent:
@@ -216,22 +216,25 @@ class RealTimeAgent:
             pq.append((h_arr[si], seq, si))
             probe.alloc(HEAP_ENTRY_BYTES)
         heapq.heapify(pq)
-        settled = set()
+        # a settled cell is stamped exp = -eid, which no episode's eid
+        # matches; the probe still charges it as a hashed settled set
+        settled = 0
         while pq:
             d, _, si = heapq.heappop(pq)
             probe.free(HEAP_ENTRY_BYTES)
-            if si in settled:
+            if exp[si] == -eid:
                 continue
-            settled.add(si)
-            probe.alloc(SET_ENTRY_BYTES)
             if exp[si] == eid:
                 h_arr[si] = d
+            exp[si] = -eid
+            settled += 1
+            probe.alloc(SET_ENTRY_BYTES)
             for ni, c in neighbors(si):
-                if exp[ni] == eid and ni not in settled:
+                if exp[ni] == eid:
                     seq += 1
                     heapq.heappush(pq, (d + c, seq, ni))
                     probe.alloc(HEAP_ENTRY_BYTES)
-        probe.free(SET_ENTRY_BYTES * len(settled))
+        probe.free(SET_ENTRY_BYTES * settled)
 
     def run(self):
         while not self.run_episode():

@@ -7,6 +7,8 @@ what the A* oracle finds on that grid from the agent's cell, and the
 planner must report NoPathError exactly when the oracle does.
 """
 
+import heapq
+import math
 import random
 
 import pytest
@@ -24,6 +26,7 @@ from gridbench import (
     generate_random_grid,
     path_cost_of,
 )
+from gridbench.solvers.dstar import _CLOSED
 
 MAX_SIDE = 12
 
@@ -109,27 +112,25 @@ def _check(planner, grid, blocked):
     return path
 
 
-@pytest.mark.parametrize("make", [_Lpa, _DStar, _DStarLite], ids=["LPA*", "D*", "D* Lite"])
-@settings(max_examples=60, deadline=None)
-# a k1 one ulp above the target's once stopped the repair before it began
-@example(n=11, density=0.0, seed=2551, corner_cutting=False, ops=[("near", 0, 6), ("toggle", 6, 6)])
-@example(n=10, density=0.15, seed=195215, corner_cutting=False,
-         ops=[("near", 2, 5), ("toggle", 2, 2), ("toggle", 5, 3)])
-@given(
-    n=st.integers(4, MAX_SIDE),
-    density=st.sampled_from([0.0, 0.15, 0.3]),
-    seed=st.integers(0, 10 ** 6),
-    corner_cutting=st.booleans(),
-    ops=OPS,
-)
-def test_repairs_match_oracle(make, n, density, seed, corner_cutting, ops):
+def _replay(make, n, density, seed, corner_cutting, ops, after_repair=None):
+    """Apply ``ops`` to a planner, checking every repair against the oracle.
+
+    ``after_repair(planner, grid, blocked)``, if given, runs after each repair.
+    """
     grid = generate_random_grid(
         RandomGridSpec(n=n, density=density, sg_distance=min(6, n - 1), seed=seed),
         allow_corner_cutting=corner_cutting,
     )
     planner = make(grid)
     blocked = set(grid.blocked)
-    path = last_path = _check(planner, grid, blocked)
+
+    def repair():
+        path = _check(planner, grid, blocked)
+        if after_repair is not None:
+            after_repair(planner, grid, blocked)
+        return path
+
+    path = last_path = repair()
     for op, a, b in ops:
         if op == "advance":
             if path is None or not hasattr(planner, "advance"):
@@ -150,8 +151,81 @@ def test_repairs_match_oracle(make, n, density, seed, corner_cutting, ops):
                 blocked.add(cell)
             else:
                 blocked.discard(cell)
-        path = _check(planner, grid, blocked)
+        path = repair()
         last_path = path or last_path
+
+
+GRIDS = dict(
+    n=st.integers(4, MAX_SIDE),
+    density=st.sampled_from([0.0, 0.15, 0.3]),
+    seed=st.integers(0, 10 ** 6),
+    corner_cutting=st.booleans(),
+    ops=OPS,
+)
+
+
+@pytest.mark.parametrize("make", [_Lpa, _DStar, _DStarLite], ids=["LPA*", "D*", "D* Lite"])
+@settings(max_examples=60, deadline=None)
+# a k1 one ulp above the target's once stopped the repair before it began
+@example(n=11, density=0.0, seed=2551, corner_cutting=False, ops=[("near", 0, 6), ("toggle", 6, 6)])
+@example(n=10, density=0.15, seed=195215, corner_cutting=False,
+         ops=[("near", 2, 5), ("toggle", 2, 2), ("toggle", 5, 3)])
+@given(**GRIDS)
+def test_repairs_match_oracle(make, n, density, seed, corner_cutting, ops):
+    _replay(make, n, density, seed, corner_cutting, ops)
+
+
+def _assert_rhs_exact(planner, grid, blocked):
+    """Every cell but the root: rhs == min over its neighbours of g + step cost, INF if blocked."""
+    p = planner.p
+    now = Grid(grid.width, grid.height, frozenset(blocked), grid.start, grid.goal,
+               grid.allow_corner_cutting)
+    for y in range(grid.height):
+        for x in range(grid.width):
+            i = grid.index((x, y))
+            if i == p._root:
+                continue
+            if (x, y) in blocked:
+                expected = math.inf
+            else:
+                expected = min((p._g[grid.index(m)] + c for m, c in now.neighbors8((x, y))),
+                               default=math.inf)
+            assert p._rhs[i] == expected, ((x, y), p._rhs[i], expected)
+
+
+# The path-cost oracle cannot see a wrong rhs that leaves the path unchanged,
+# so the g/rhs core's one-step-lookahead values are checked exactly
+@pytest.mark.parametrize("make", [_Lpa, _DStarLite], ids=["LPA*", "D* Lite"])
+@settings(max_examples=40, deadline=None)
+@given(**GRIDS)
+def test_rhs_is_exact_after_every_repair(make, n, density, seed, corner_cutting, ops):
+    _replay(make, n, density, seed, corner_cutting, ops, after_repair=_assert_rhs_exact)
+
+
+@pytest.mark.parametrize("corner_cutting", [False, True], ids=["no-cut", "cut"])
+def test_dstar_closed_values_are_goal_distances(corner_cutting):
+    """After the initial run every CLOSED cell's h is its backward Dijkstra distance."""
+    grid = generate_random_grid(RandomGridSpec(n=60, density=0.3, sg_distance=40, seed=3),
+                                allow_corner_cutting=corner_cutting)
+    planner = DStarPlanner(grid)
+    planner.initial_run()
+    dist = {grid.goal: 0.0}
+    heap = [(0.0, grid.goal)]
+    while heap:
+        d, c = heapq.heappop(heap)
+        if d > dist[c]:
+            continue
+        for m, step in grid.neighbors8(c):
+            if d + step < dist.get(m, math.inf):
+                dist[m] = d + step
+                heapq.heappush(heap, (d + step, m))
+    closed = [c for c in dist if planner._tag[grid.index(c)] == _CLOSED]
+    assert grid.start in closed
+    for y in range(grid.height):
+        for x in range(grid.width):
+            assert planner._tag[grid.index((x, y))] != _CLOSED or (x, y) in dist
+    for c in closed:
+        assert planner._h[grid.index(c)] == pytest.approx(dist[c], abs=1e-9), c
 
 
 @pytest.mark.parametrize("cls", [LpaStarPlanner, DStarPlanner, DStarLitePlanner],
