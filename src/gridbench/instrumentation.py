@@ -6,6 +6,13 @@ search-structure bytes rather than process RSS.  Entry costs are fixed,
 idealized sizes (hash slot + key + boxed payload), which keeps the numbers
 hardware-independent and byte-identical across repeated runs while
 preserving honest proportions between solvers.
+
+A hot loop may keep ``live_bytes`` and ``peak_bytes`` in local variables
+instead of calling ``alloc``/``free`` per entry.  It must then raise its
+local peak to the live count after every increase, or once at the end of
+a run of increases (the high-water mark of a run of increases is its last
+value), and write both back to the probe before any probe method call,
+return or raise, so the probe reads as if every delta had been a call.
 """
 
 from __future__ import annotations

@@ -108,12 +108,17 @@ class GRhsPlanner:
         g, rhs, open_ = self._g, self._rhs, self._open
         target, root, neighbors = self._target, self._root, self._neighbors
         held, probe, key = self._held, self.probe, self._key
+        # the target's key depends only on its g and rhs while compute runs,
+        # so it is recomputed only when one of them has changed
+        tg = trhs = None
         while open_:
             (k1, k2), _ = open_.peek()
-            t1, t2 = key(target)
+            gt, rt = g[target], rhs[target]
+            if gt != tg or rt != trhs:
+                tg, trhs = gt, rt
+                t1, t2 = key(target)
             # k1 values within 1e-9 tie: one ulp of rounding must not end the search
-            if not (k1 < t1 - 1e-9 or (k1 <= t1 + 1e-9 and k2 < t2)
-                    or rhs[target] != g[target]):
+            if not (k1 < t1 - 1e-9 or (k1 <= t1 + 1e-9 and k2 < t2) or rt != gt):
                 break
             k_old, u = open_.pop()
             k_new = key(u)

@@ -27,7 +27,7 @@ live footprint scales with the grid area rather than the touched region.
 
 from __future__ import annotations
 
-import heapq
+from heapq import heapify, heappop, heappush
 from math import hypot
 
 from .. import grid as gridmod
@@ -39,7 +39,6 @@ from ..instrumentation import (
     SET_ENTRY_BYTES,
     AllocationProbe,
 )
-from ..pqueue import LazyHeap
 from .common import SolverParams, TieBreak
 
 _N_ARRAYS = 5  # h, g, tree, generated-counter, expanded-counter (negated once settled)
@@ -57,9 +56,14 @@ class RealTimeAgent:
         # the arrays are indexed by padded id; the border slots are never
         # read, and the accounting charges the w x h cells of the grid
         self._ncells = w * h
+        # h is computed on first read (``_h_at``); -1.0 marks a cell not yet
+        # read.  The probe still charges the whole h array: the 5 x w x h
+        # charge is an accounting constant, not a measurement
+        self._stride = stride = w + 2
         gx, gy = grid.goal
-        self._h = [hypot(x - gx, y - gy) for y in range(-1, h + 1) for x in range(-1, w + 1)]
-        size = len(self._h)
+        self._gx, self._gy = gx + 1, gy + 1  # the goal in the padded frame
+        size = stride * (h + 2)
+        self._h = [-1.0] * size
         self._g = [0.0] * size
         self._tree = [-1] * size
         self._gen = [0] * size
@@ -94,7 +98,15 @@ class RealTimeAgent:
         """Current stored heuristic for a cell."""
         if not self.grid.in_bounds(c):
             raise InvalidCellError(f"{tuple(c)} is out of bounds")
-        return self._h[self.grid.index(c)]
+        return self._h_at(self.grid.index(c))
+
+    def _h_at(self, i: int) -> float:
+        """h of padded id ``i``: the straight-line distance until learning raises it."""
+        h = self._h[i]
+        if h < 0.0:
+            s = self._stride
+            h = self._h[i] = hypot(i % s - self._gx, i // s - self._gy)
+        return h
 
     def _neighbors(self, i: int) -> list:
         nbrs = self._nbrs[i]
@@ -113,8 +125,9 @@ class RealTimeAgent:
         if self.done:
             return True
         grid, probe = self.grid, self.probe
-        neighbors = self._neighbors
+        neighbors, memo = self._neighbors, self._nbrs
         h_arr, g_arr, tree, gen, exp = self._h, self._g, self._tree, self._gen, self._exp
+        stride, gx, gy = self._stride, self._gx, self._gy
         high_g = self.params.tie_break is TieBreak.HIGH_G
         self._episode += 1
         eid = self._episode
@@ -123,57 +136,91 @@ class RealTimeAgent:
         g_arr[oi] = 0.0
         gen[oi] = eid
         tree[oi] = -1
-        open_ = LazyHeap(probe)
-        open_.push(oi, (h_arr[oi], 0.0))
+        # The open list is LazyHeap's, inlined: entries (f, tie, seq, id),
+        # and ``live`` maps each id to the seq of the entry that counts, so
+        # a re-push supersedes the earlier entry.  The probe's bytes are
+        # kept in locals (see ``instrumentation``) and written back before
+        # each probe call
+        heap = [(self._h_at(oi), 0.0, 1, oi)]
+        live = {oi: 1}
+        seq = 1
+        nbytes = probe.live_bytes + HEAP_ENTRY_BYTES
+        peak = max(probe.peak_bytes, nbytes)
         closed = []
         budget = self.params.lookahead
         expd = 0
         reached = False
-        while open_ and expd < budget:
-            _, si = open_.pop()
+        while live and expd < budget:
+            while True:
+                _, _, sq, si = heappop(heap)
+                nbytes -= HEAP_ENTRY_BYTES
+                if live.get(si) == sq:
+                    del live[si]
+                    break
             expd += 1
+            probe.live_bytes, probe.peak_bytes = nbytes, peak
             probe.expand(si)
             if si == goal:
                 reached = True
                 break
             exp[si] = eid
             closed.append(si)
-            probe.alloc(ARRAY_SLOT_BYTES)  # closed stack slot
+            nbytes += ARRAY_SLOT_BYTES  # closed stack slot
             gs = g_arr[si]
-            for ni, c in neighbors(si):
+            nbrs = memo[si]
+            if nbrs is None:
+                nbrs = neighbors(si)
+            for ni, c in nbrs:
                 ng = gs + c
                 if gen[ni] != eid or ng < g_arr[ni]:
                     g_arr[ni] = ng
                     gen[ni] = eid
                     tree[ni] = si
-                    open_.push(ni, (ng + h_arr[ni], -ng if high_g else ng))
+                    hn = h_arr[ni]
+                    if hn < 0.0:
+                        hn = h_arr[ni] = hypot(ni % stride - gx, ni // stride - gy)
+                    seq += 1
+                    live[ni] = seq
+                    heappush(heap, (ng + hn, -ng if high_g else ng, seq, ni))
+                    nbytes += HEAP_ENTRY_BYTES
+            if nbytes > peak:
+                peak = nbytes
         self.expanded += expd
         self._closed = closed
+
+        if not reached:
+            # peek at the best frontier entry, discarding stale ones on the way
+            while heap:
+                top = heap[0]
+                if live.get(top[3]) == top[2]:
+                    break
+                heappop(heap)
+                nbytes -= HEAP_ENTRY_BYTES
+        probe.live_bytes, probe.peak_bytes = nbytes, peak
 
         if reached:
             for step in self._chain_to(goal, oi):
                 self._step(step)
-            self._finish_episode(open_, closed)
+            self._finish_episode(heap, closed)
             self.done = True
             self._release_arrays()
             return True
 
-        top = open_.peek()
-        if top is None:
-            self._finish_episode(open_, closed)
+        if not heap:
+            self._finish_episode(heap, closed)
             self._release_arrays()
             raise NoPathError(f"goal {tuple(grid.goal)} unreachable from {tuple(grid.start)}")
-        best = top[1]
+        best = heap[0][3]
 
         if self.adaptive:
             f_best = g_arr[best] + h_arr[best]
             for si in closed:
                 h_arr[si] = f_best - g_arr[si]
         else:
-            self._learning_backup(open_, eid)
+            self._learning_backup(list(live), eid)
 
         self._step(self._chain_to(best, oi)[0])
-        self._finish_episode(open_, closed)
+        self._finish_episode(heap, closed)
         if self._pos == goal:
             self.done = True
             self._release_arrays()
@@ -201,40 +248,45 @@ class RealTimeAgent:
         out.reverse()
         return out
 
-    def _finish_episode(self, open_: LazyHeap, closed: list) -> None:
-        open_.release()
-        self.probe.free(ARRAY_SLOT_BYTES * len(closed))
+    def _finish_episode(self, heap: list, closed: list) -> None:
+        """Free the episode's open-list entries, stale ones included, and its closed stack."""
+        self.probe.free(HEAP_ENTRY_BYTES * len(heap) + ARRAY_SLOT_BYTES * len(closed))
 
-    def _learning_backup(self, open_: LazyHeap, eid: int) -> None:
+    def _learning_backup(self, frontier: list, eid: int) -> None:
         """Dijkstra from the frontier into this episode's expanded region."""
-        probe, neighbors = self.probe, self._neighbors
+        probe, neighbors, memo = self.probe, self._neighbors, self._nbrs
         h_arr, exp = self._h, self._exp
-        pq = []
-        seq = 0
-        for si in open_.live_items():
-            seq += 1
-            pq.append((h_arr[si], seq, si))
-            probe.alloc(HEAP_ENTRY_BYTES)
-        heapq.heapify(pq)
+        pq = [(h_arr[si], seq, si) for seq, si in enumerate(frontier, 1)]
+        seq = len(pq)
+        heapify(pq)
+        # byte accounting in locals, written back on return (see ``instrumentation``)
+        nbytes = probe.live_bytes + HEAP_ENTRY_BYTES * seq
+        peak = max(probe.peak_bytes, nbytes)
         # a settled cell is stamped exp = -eid, which no episode's eid
         # matches; the probe still charges it as a hashed settled set
         settled = 0
         while pq:
-            d, _, si = heapq.heappop(pq)
-            probe.free(HEAP_ENTRY_BYTES)
+            d, _, si = heappop(pq)
+            nbytes -= HEAP_ENTRY_BYTES
             if exp[si] == -eid:
                 continue
             if exp[si] == eid:
                 h_arr[si] = d
             exp[si] = -eid
             settled += 1
-            probe.alloc(SET_ENTRY_BYTES)
-            for ni, c in neighbors(si):
+            nbytes += SET_ENTRY_BYTES
+            nbrs = memo[si]
+            if nbrs is None:
+                nbrs = neighbors(si)
+            for ni, c in nbrs:
                 if exp[ni] == eid:
                     seq += 1
-                    heapq.heappush(pq, (d + c, seq, ni))
-                    probe.alloc(HEAP_ENTRY_BYTES)
-        probe.free(SET_ENTRY_BYTES * settled)
+                    heappush(pq, (d + c, seq, ni))
+                    nbytes += HEAP_ENTRY_BYTES
+            if nbytes > peak:
+                peak = nbytes
+        probe.live_bytes = nbytes - SET_ENTRY_BYTES * settled
+        probe.peak_bytes = peak
 
     def run(self):
         while not self.run_episode():

@@ -16,6 +16,7 @@ from gridbench import (
     generate_wall_grid,
     solve,
 )
+from gridbench.solvers import SolverParams, TieBreak
 
 A = AlgorithmId
 
@@ -41,11 +42,36 @@ RANDOM_60 = {
 }
 
 INSTANCES = {
-    "wall_7_21": (lambda: generate_wall_grid(WallGridSpec(7, 21)), WALL_7_21),
+    "wall_7_21": (lambda cc=False: generate_wall_grid(WallGridSpec(7, 21), cc), WALL_7_21),
     "random_60": (
-        lambda: generate_random_grid(RandomGridSpec(n=60, density=0.3, sg_distance=40, seed=3)),
+        lambda cc=False: generate_random_grid(
+            RandomGridSpec(n=60, density=0.3, sg_distance=40, seed=3), cc),
         RANDOM_60,
     ),
+}
+
+# The real-time agents under non-default parameters: variant ->
+# (SolverParams, allow_corner_cutting), and (instance, variant, algorithm)
+# -> the same tuple as above
+VARIANTS = {
+    "lookahead_1": (SolverParams(lookahead=1), False),
+    "lookahead_7_low_g": (SolverParams(lookahead=7, tie_break=TieBreak.LOW_G), False),
+    "corner_cutting": (SolverParams(), True),
+}
+
+REALTIME_VARIANTS = {
+    ("wall_7_21", "lookahead_1", A.LRTA_STAR): ("1589.1686142824262", 1491, 89840, 1492),
+    ("wall_7_21", "lookahead_1", A.RTAA_STAR): ("1589.1686142824262", 1491, 88752, 1492),
+    ("wall_7_21", "lookahead_7_low_g", A.LRTA_STAR): ("721.0853531617402", 4442, 93992, 638),
+    ("wall_7_21", "lookahead_7_low_g", A.RTAA_STAR): ("702.4406922210678", 4234, 90912, 609),
+    ("wall_7_21", "corner_cutting", A.LRTA_STAR): ("134.75230867899725", 19129, 145216, 108),
+    ("wall_7_21", "corner_cutting", A.RTAA_STAR): ("153.82337649086284", 23436, 120576, 125),
+    ("random_60", "lookahead_1", A.LRTA_STAR): ("94.24264068711928", 93, 145608, 94),
+    ("random_60", "lookahead_1", A.RTAA_STAR): ("94.24264068711928", 93, 144712, 94),
+    ("random_60", "lookahead_7_low_g", A.LRTA_STAR): ("117.69848480983495", 734, 147544, 110),
+    ("random_60", "lookahead_7_low_g", A.RTAA_STAR): ("74.0416305603426", 448, 145352, 68),
+    ("random_60", "corner_cutting", A.LRTA_STAR): ("48.284271247461895", 486, 173720, 41),
+    ("random_60", "corner_cutting", A.RTAA_STAR): ("48.284271247461895", 998, 162808, 41),
 }
 
 
@@ -60,3 +86,14 @@ def test_golden_counters(grids, instance, algo):
     out = solve(grids[instance], algo)
     got = (repr(out.path_cost), out.expanded, out.peak_memory_bytes, len(out.path))
     assert got == INSTANCES[instance][1][algo]
+
+
+@pytest.mark.parametrize("key", list(REALTIME_VARIANTS),
+                         ids=lambda k: f"{k[0]}-{k[1]}-{k[2].value}")
+def test_realtime_counters_under_parameters(grids, key):
+    instance, variant, algo = key
+    params, corner_cutting = VARIANTS[variant]
+    grid = INSTANCES[instance][0](True) if corner_cutting else grids[instance]
+    out = solve(grid, algo, params)
+    got = (repr(out.path_cost), out.expanded, out.peak_memory_bytes, len(out.path))
+    assert got == REALTIME_VARIANTS[key]

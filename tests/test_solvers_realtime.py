@@ -11,6 +11,7 @@ from gridbench import (
     NoPathError,
     RandomGridSpec,
     astar_oracle,
+    euclidean_heuristic,
     generate_random_grid,
     solve,
 )
@@ -111,6 +112,27 @@ def test_h_value_rejects_out_of_bounds_cells():
     agent = RealTimeAgent(g, SolverParams(), AllocationProbe(), adaptive=True)
     assert agent.h_value((4, 4)) == 0.0
     for cell in ((-1, 0), (5, 0), (0, 5), (6, 0)):
+        with pytest.raises(InvalidCellError):
+            agent.h_value(cell)
+
+
+@pytest.mark.parametrize("adaptive", (False, True), ids=("lrta", "rtaa"))
+def test_h_value_is_straight_line_until_expanded(adaptive):
+    # h is computed on first read; every cell no episode expanded must read
+    # exactly the straight-line distance, before and after some episodes
+    g = generate_random_grid(RandomGridSpec(n=20, density=0.25, sg_distance=13, seed=4))
+    cells = [(x, y) for y in range(g.height) for x in range(g.width)]
+    fresh = RealTimeAgent(g, SolverParams(lookahead=5), AllocationProbe(), adaptive)
+    assert all(fresh.h_value(c) == euclidean_heuristic(c, g.goal) for c in cells)
+    agent = RealTimeAgent(g, SolverParams(lookahead=5), AllocationProbe(), adaptive)
+    expanded = set()
+    for _ in range(4):
+        assert not agent.run_episode()
+        expanded.update(agent.last_closed)
+    untouched = [c for c in cells if c not in expanded]
+    assert all(agent.h_value(c) == euclidean_heuristic(c, g.goal) for c in untouched)
+    assert any(agent.h_value(c) > euclidean_heuristic(c, g.goal) for c in expanded)
+    for cell in ((-1, 0), (20, 0), (0, 20), (-1, -1)):
         with pytest.raises(InvalidCellError):
             agent.h_value(cell)
 
