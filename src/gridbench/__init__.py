@@ -61,7 +61,6 @@ from .experiments import (
     FixedParams,
     SweepConfig,
     SweepKind,
-    default_sweeps,
     run_sweep,
 )
 from .selector import (

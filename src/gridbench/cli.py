@@ -14,9 +14,15 @@ import sys
 
 from .errors import GridBenchError, NoPathError
 from .experiments import run_sweep
-from .generators import RandomGridSpec, WallGridSpec, generate_random_grid, generate_wall_grid
+from .generators import (
+    RandomGridSpec,
+    WallGridSpec,
+    generate_random_grid,
+    generate_wall_grid,
+    sg_distance,
+)
 from .grid import load_grid, save_grid
-from .reporting import CSV_COLUMNS, fmt3, parse_config, render_plots, write_csv
+from .reporting import CSV_COLUMNS, csv_fields, fmt3, parse_config, render_plots, write_csv
 from .selector import (
     DEFAULT_DISTANCE_THRESHOLD,
     SelectionRequest,
@@ -105,21 +111,11 @@ def _cmd_evaluate(args) -> int:
     )
     evaluation = evaluate_selection(grid, req, params=_solver_params(args), reps=args.reps)
     print(",".join(CSV_COLUMNS + ("best_for_priority",)))
-    sg = fmt3(((grid.start.x - grid.goal.x) ** 2 + (grid.start.y - grid.goal.y) ** 2) ** 0.5)
+    size, sg = f"{grid.width}x{grid.height}", sg_distance(grid)
     for cand in evaluation.candidates:
         marker = "*" if cand.algorithm == evaluation.best else ""
-        print(",".join((
-            cand.algorithm.label,
-            "-",
-            "-",
-            "-",
-            f"{grid.width}x{grid.height}",
-            sg,
-            fmt3(cand.stats["path_cost"].mean),
-            fmt3(cand.stats["memory_kb"].mean),
-            fmt3(cand.stats["solve_time_ms"].mean),
-            marker,
-        )))
+        fields = csv_fields(cand.algorithm, None, None, None, size, sg, cand.stats)
+        print(",".join(fields + (marker,)))
     print(f"selected: {evaluation.selected.value}")
     print(f"selected_is_best: {str(evaluation.selected_is_best).lower()}")
     return 0

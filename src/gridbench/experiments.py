@@ -68,6 +68,14 @@ class FixedParams:
     size: int = 300
     sg_distance: float = 140.0
 
+    def __post_init__(self):
+        if self.size < 3:
+            raise ConfigError(f"size must be >= 3, got {self.size}")
+        if not 0.0 <= self.density < 1.0:
+            raise ConfigError(f"density must be in [0, 1), got {self.density}")
+        if self.sg_distance < 0:
+            raise ConfigError(f"sg_distance must be nonnegative, got {self.sg_distance}")
+
 
 @dataclass(frozen=True)
 class SweepConfig:
@@ -115,31 +123,9 @@ class ExperimentReport:
     provenance: dict
 
 
-def default_sweeps(algorithms=DEFAULT_ALGORITHMS, fixed: FixedParams = FixedParams(),
-                   instances_per_point: int = 10, reps: int = 100, seed: int = 0,
-                   solver_params: SolverParams | None = None,
-                   allow_corner_cutting: bool = False,
-                   parallel_pairs: bool = False) -> list[SweepConfig]:
-    """One config per sweep kind, in canonical order."""
-    return [
-        SweepConfig(
-            kind=kind,
-            values=DEFAULT_SWEEP_VALUES[kind],
-            fixed=fixed,
-            algorithms=tuple(algorithms),
-            instances_per_point=instances_per_point,
-            reps=reps,
-            seed=seed,
-            solver_params=solver_params or SolverParams(),
-            allow_corner_cutting=allow_corner_cutting,
-            parallel_pairs=parallel_pairs,
-        )
-        for kind in SweepKind
-    ]
-
-
-def _point_grids(cfg: SweepConfig, index: int, value) -> list:
-    """Instance grids for one parameter point (shared by all algorithms)."""
+def _point(cfg: SweepConfig, index: int, value) -> tuple:
+    """One parameter point's instance grids (shared by all algorithms) and
+    its row labels (num_walls, wall_length, density, grid_size)."""
     fixed = cfg.fixed
     if cfg.kind in (SweepKind.WALL_COUNT, SweepKind.WALL_LENGTH):
         if cfg.kind is SweepKind.WALL_COUNT:
@@ -147,7 +133,8 @@ def _point_grids(cfg: SweepConfig, index: int, value) -> list:
         else:
             spec = WallGridSpec(num_walls=7, wall_length=int(value))
         grid = generate_wall_grid(spec, cfg.allow_corner_cutting)
-        return [grid] * cfg.instances_per_point
+        labels = (spec.num_walls, spec.wall_length, None, WALL_SIZE_LABEL)
+        return [grid] * cfg.instances_per_point, labels
     # the held-constant distance adapts to grids too small to realize it;
     # swept distance values are taken literally and fail loudly instead
     if cfg.kind is SweepKind.GRID_SIZE:
@@ -162,7 +149,8 @@ def _point_grids(cfg: SweepConfig, index: int, value) -> list:
         n=n, density=density, sg_distance=sg,
         seed=cfg.seed + index * cfg.instances_per_point,
     )
-    return generate_instance_set(spec, cfg.instances_per_point, cfg.allow_corner_cutting)
+    grids = generate_instance_set(spec, cfg.instances_per_point, cfg.allow_corner_cutting)
+    return grids, (None, None, density, str(n))
 
 
 def _measure_point(args):
@@ -172,16 +160,16 @@ def _measure_point(args):
 
 def run_sweep(cfg: SweepConfig) -> ExperimentReport:
     """Execute one sweep; deterministic given the seed except solve times."""
-    point_grids = []
+    points = []
     for index, value in enumerate(cfg.values):
         try:
-            point_grids.append(_point_grids(cfg, index, value))
+            points.append(_point(cfg, index, value))
         except (GenerationError, InvalidSpecError) as exc:
             raise type(exc)(f"sweep {cfg.kind.value}, value {value}: {exc}") from exc
 
     jobs = [
         (grids[i], algo, cfg.solver_params, cfg.reps)
-        for grids in point_grids
+        for grids, _ in points
         for algo in cfg.algorithms
         for i in range(cfg.instances_per_point)
     ]
@@ -193,33 +181,13 @@ def run_sweep(cfg: SweepConfig) -> ExperimentReport:
 
     rows = []
     cursor = 0
-    for index, value in enumerate(cfg.values):
-        grids = point_grids[index]
+    for value, (grids, labels) in zip(cfg.values, points):
         mean_sg = sum(sg_distance(g) for g in grids) / len(grids)
         for algo in cfg.algorithms:
             per_grid = results[cursor:cursor + cfg.instances_per_point]
             cursor += cfg.instances_per_point
             stats = {m: aggregate([stats[m].mean for stats in per_grid]) for m in METRIC_NAMES}
-            if cfg.kind is SweepKind.WALL_COUNT:
-                num_walls, wall_len, density, size = int(value), WALL_GRID_DEFAULT_LENGTH, None, WALL_SIZE_LABEL
-            elif cfg.kind is SweepKind.WALL_LENGTH:
-                num_walls, wall_len, density, size = 7, int(value), None, WALL_SIZE_LABEL
-            elif cfg.kind is SweepKind.GRID_SIZE:
-                num_walls, wall_len, density, size = None, None, cfg.fixed.density, str(int(value))
-            elif cfg.kind is SweepKind.DENSITY:
-                num_walls, wall_len, density, size = None, None, float(value), str(cfg.fixed.size)
-            else:
-                num_walls, wall_len, density, size = None, None, cfg.fixed.density, str(cfg.fixed.size)
-            rows.append(SweepRow(
-                algorithm=algo,
-                value=value,
-                num_walls=num_walls,
-                wall_length=wall_len,
-                density=density,
-                grid_size=size,
-                sg_distance=mean_sg,
-                stats=stats,
-            ))
+            rows.append(SweepRow(algo, value, *labels, sg_distance=mean_sg, stats=stats))
     provenance = {
         "kind": cfg.kind.value,
         "values": list(cfg.values),

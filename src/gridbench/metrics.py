@@ -1,7 +1,8 @@
 """Measurement harness: one timed run, repeated runs, and aggregation.
 
-Timing wraps only the solve call on a monotonic clock; grid construction
-and probe setup stay outside.  Reported memory is the probe's high-water
+Solve time is the one reading ``solve`` takes on a monotonic clock around
+the solver run alone; grid construction, probe setup and outcome
+construction stay outside.  Reported memory is the probe's high-water
 mark (see instrumentation), so for deterministic solvers only
 solve_time_ms varies between repetitions.  A discarded warm-up run
 precedes the timed repetitions.
@@ -10,11 +11,9 @@ precedes the timed repetitions.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 
 from .errors import MeasurementError
-from .instrumentation import AllocationProbe
 from .solvers import AlgorithmId, SolverParams, solve
 
 METRIC_NAMES = ("path_cost", "memory_kb", "solve_time_ms")
@@ -55,16 +54,13 @@ def aggregate(samples) -> AggregateStats:
 
 def measure_run(grid, algo: AlgorithmId, params: SolverParams | None = None) -> RunMetrics:
     """One instrumented solve; propagates NoPathError on unsolvable grids."""
-    probe = AllocationProbe()
-    t0 = time.perf_counter()
-    outcome = solve(grid, algo, params, probe)
-    elapsed_ms = (time.perf_counter() - t0) * 1000.0
-    if probe.peak_bytes <= 0:
+    outcome = solve(grid, algo, params)
+    if outcome.peak_memory_bytes <= 0:
         raise MeasurementError(f"probe recorded no allocations for {algo}")
     return RunMetrics(
         path_cost=outcome.path_cost,
-        memory_kb=probe.peak_bytes / 1024.0,
-        solve_time_ms=elapsed_ms,
+        memory_kb=outcome.peak_memory_bytes / 1024.0,
+        solve_time_ms=outcome.solve_time_ms,
     )
 
 

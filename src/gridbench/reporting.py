@@ -17,7 +17,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
-from .errors import ConfigError
+from .errors import ConfigError, InvalidSpecError
 from .experiments import (
     DEFAULT_ALGORITHMS,
     DEFAULT_SWEEP_VALUES,
@@ -144,7 +144,7 @@ def parse_config(path) -> RunPlan:
     def conv_algos(raw, where):
         try:
             return tuple(AlgorithmId.parse(part) for part in raw.split(",") if part.strip())
-        except Exception as exc:
+        except InvalidSpecError as exc:
             raise ConfigError(f"{where}: {exc}") from None
 
     algorithms = take("algorithms", DEFAULT_ALGORITHMS, conv_algos)
@@ -173,44 +173,30 @@ def parse_config(path) -> RunPlan:
             num = float if kind in (SweepKind.DENSITY, SweepKind.SG_DISTANCE) else int
             overrides[kind] = tuple(_parse_number(p, where, num) for p in parts)
 
-    # domain checks (spec ranges)
-    if reps < 1:
-        raise ConfigError(f"reps must be >= 1, got {reps}")
-    if instances < 1:
-        raise ConfigError(f"instances_per_point must be >= 1, got {instances}")
-    if size < 3:
-        raise ConfigError(f"size must be >= 3, got {size}")
-    if not 0.0 <= density < 1.0:
-        raise ConfigError(f"density must be in [0, 1), got {density}")
-    if sg < 0:
-        raise ConfigError(f"sg_distance must be nonnegative, got {sg}")
-    if lookahead < 1:
-        raise ConfigError(f"lookahead must be >= 1, got {lookahead}")
-    if ara_w < 1:
-        raise ConfigError(f"ara_initial_weight must be >= 1, got {ara_w}")
-    if ara_dec <= 0:
-        raise ConfigError(f"ara_weight_decrement must be > 0, got {ara_dec}")
-
-    fixed = FixedParams(density=density, size=size, sg_distance=sg)
-    solver_params = SolverParams(
-        lookahead=lookahead, ara_initial_weight=ara_w,
-        ara_weight_decrement=ara_dec, tie_break=tie,
-    )
-    sweeps = tuple(
-        SweepConfig(
-            kind=kind,
-            values=overrides.get(kind, DEFAULT_SWEEP_VALUES[kind]),
-            fixed=fixed,
-            algorithms=algorithms,
-            instances_per_point=instances,
-            reps=reps,
-            seed=seed,
-            solver_params=solver_params,
-            allow_corner_cutting=corner,
-            parallel_pairs=parallel,
+    # range rules live in the constructors
+    try:
+        fixed = FixedParams(density=density, size=size, sg_distance=sg)
+        solver_params = SolverParams(
+            lookahead=lookahead, ara_initial_weight=ara_w,
+            ara_weight_decrement=ara_dec, tie_break=tie,
         )
-        for kind in kinds
-    )
+        sweeps = tuple(
+            SweepConfig(
+                kind=kind,
+                values=overrides.get(kind, DEFAULT_SWEEP_VALUES[kind]),
+                fixed=fixed,
+                algorithms=algorithms,
+                instances_per_point=instances,
+                reps=reps,
+                seed=seed,
+                solver_params=solver_params,
+                allow_corner_cutting=corner,
+                parallel_pairs=parallel,
+            )
+            for kind in kinds
+        )
+    except (ConfigError, InvalidSpecError) as exc:
+        raise ConfigError(f"{path}: {exc}") from None
     return RunPlan(sweeps=sweeps, output_dir=output_dir)
 
 
@@ -222,19 +208,28 @@ def _dash_or(value, fmt) -> str:
     return "-" if value is None else fmt(value)
 
 
+def csv_fields(algorithm, num_walls, wall_length, density, grid_size, sg_distance,
+               stats) -> tuple:
+    """One row's fields in CSV_COLUMNS order; None labels print as '-'."""
+    return (
+        algorithm.label,
+        _dash_or(num_walls, str),
+        _dash_or(wall_length, str),
+        _dash_or(density, fmt3),
+        grid_size,
+        fmt3(sg_distance),
+        fmt3(stats["path_cost"].mean),
+        fmt3(stats["memory_kb"].mean),
+        fmt3(stats["solve_time_ms"].mean),
+    )
+
+
 def csv_rows(report: ExperimentReport) -> list[str]:
     lines = [",".join(CSV_COLUMNS)]
     for row in report.rows:
-        lines.append(",".join((
-            row.algorithm.label,
-            _dash_or(row.num_walls, str),
-            _dash_or(row.wall_length, str),
-            _dash_or(row.density, fmt3),
-            row.grid_size,
-            fmt3(row.sg_distance),
-            fmt3(row.stats["path_cost"].mean),
-            fmt3(row.stats["memory_kb"].mean),
-            fmt3(row.stats["solve_time_ms"].mean),
+        lines.append(",".join(csv_fields(
+            row.algorithm, row.num_walls, row.wall_length, row.density,
+            row.grid_size, row.sg_distance, row.stats,
         )))
     return lines
 

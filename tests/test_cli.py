@@ -84,6 +84,16 @@ class TestEvaluate:
         assert lines[4] == "selected: D_STAR_LITE"
         assert lines[5] in ("selected_is_best: true", "selected_is_best: false")
 
+    def test_candidate_rows_pinned(self, grid_file, capsys):
+        assert main(["evaluate", grid_file, "--priority", "memory", "--reps", "2"]) == 0
+        rows = capsys.readouterr().out.strip().splitlines()[1:4]
+        # every column but solving_time_ms and the timing-free best marker
+        assert [r.split(",")[:8] for r in rows] == [
+            ["RTAA*", "-", "-", "-", "12x12", "12.728", "13.899", "11.500"],
+            ["ARA*", "-", "-", "-", "12x12", "12.728", "13.899", "21.688"],
+            ["D* Lite", "-", "-", "-", "12x12", "12.728", "13.899", "17.242"],
+        ]
+
     def test_corner_cutting_flag_changes_reachability(self, corner_sealed_file, capsys):
         assert main(["evaluate", corner_sealed_file, "--priority", "memory", "--reps", "1"]) == 1
         assert "unreachable" in capsys.readouterr().err

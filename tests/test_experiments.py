@@ -7,7 +7,6 @@ from gridbench import (
     FixedParams,
     SweepConfig,
     SweepKind,
-    default_sweeps,
     run_sweep,
     wall_length_sequence,
 )
@@ -30,11 +29,6 @@ def tiny_cfg(**overrides):
 
 
 class TestDefaults:
-    def test_five_sweeps(self):
-        sweeps = default_sweeps()
-        assert len(sweeps) == 5
-        assert [c.kind for c in sweeps] == list(SweepKind)
-
     def test_density_values_cover_quoted_points(self):
         values = DEFAULT_SWEEP_VALUES[SweepKind.DENSITY]
         for v in (0.20, 0.25, 0.35):
@@ -65,6 +59,14 @@ class TestConfigValidation:
     def test_bad_instances(self):
         with pytest.raises(ConfigError):
             tiny_cfg(instances_per_point=0)
+
+    @pytest.mark.parametrize("field", [
+        {"size": 2}, {"density": 1.0}, {"density": -0.1}, {"sg_distance": -1.0},
+    ])
+    def test_bad_fixed_params(self, field):
+        with pytest.raises(ConfigError):
+            FixedParams(**field)
+        FixedParams(size=3, density=0.0, sg_distance=0.0)  # the boundaries are legal
 
 
 class TestRunSweep:

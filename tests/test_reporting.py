@@ -1,4 +1,5 @@
 import os
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +14,7 @@ from gridbench import (
     run_sweep,
     write_csv,
 )
+from gridbench.experiments import DEFAULT_ALGORITHMS
 from gridbench.reporting import CSV_COLUMNS, csv_rows
 from gridbench.solvers import TieBreak
 
@@ -48,11 +50,31 @@ class TestConfigParsing:
         plan = parse_config(cfg)
         assert all(c.reps == 100 for c in plan.sweeps)
 
-    def test_density_domain_error(self, tmp_path):
+    @pytest.mark.parametrize("line", [
+        "density=1.5", "density=-0.1", "size=2", "sg_distance=-1", "reps=0",
+        "instances_per_point=0", "lookahead=0", "ara_initial_weight=0.5",
+        "ara_weight_decrement=0",
+    ])
+    def test_domain_error(self, tmp_path, line):
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text("density=1.5\n")
-        with pytest.raises(ConfigError):
+        cfg.write_text(line + "\n")
+        with pytest.raises(ConfigError, match="bad.cfg"):
             parse_config(cfg)
+
+    def test_quick_plan_file(self):
+        plan = parse_config(Path(__file__).resolve().parent.parent / "scripts" / "quick.cfg")
+        assert plan.output_dir == "results"
+        assert [(c.kind, c.values) for c in plan.sweeps] == [
+            (SweepKind.GRID_SIZE, (20, 30, 40)),
+            (SweepKind.SG_DISTANCE, (8, 16, 24)),
+            (SweepKind.DENSITY, (0.1, 0.2, 0.3)),
+            (SweepKind.WALL_COUNT, (0, 2, 4)),
+            (SweepKind.WALL_LENGTH, (15, 19, 23)),
+        ]
+        for c in plan.sweeps:
+            assert c.fixed == FixedParams(density=0.25, size=40, sg_distance=25.0)
+            assert (c.instances_per_point, c.reps, c.seed) == (3, 5, 0)
+            assert c.algorithms == DEFAULT_ALGORITHMS
 
     def test_unknown_key_with_line_number(self, tmp_path):
         cfg = tmp_path / "unk.cfg"
