@@ -111,7 +111,8 @@ def _cmd_evaluate(args) -> int:
     )
     evaluation = evaluate_selection(grid, req, params=_solver_params(args), reps=args.reps)
     print(",".join(CSV_COLUMNS + ("best_for_priority",)))
-    size, sg = f"{grid.width}x{grid.height}", sg_distance(grid)
+    size = f"{grid.width}x{grid.height}"
+    sg = sg_distance(grid)
     for cand in evaluation.candidates:
         marker = "*" if cand.algorithm == evaluation.best else ""
         fields = csv_fields(cand.algorithm, None, None, None, size, sg, cand.stats)

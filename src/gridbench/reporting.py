@@ -159,6 +159,8 @@ def parse_config(path) -> RunPlan:
                 kinds.append(SweepKind(part))
             except ValueError:
                 raise ConfigError(f"{where}: unknown sweep kind {part!r}") from None
+        if not kinds:
+            raise ConfigError(f"{where}: empty sweep list")
         return tuple(kinds)
 
     kinds = take("sweeps", tuple(SweepKind), conv_kinds)

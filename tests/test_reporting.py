@@ -53,7 +53,7 @@ class TestConfigParsing:
     @pytest.mark.parametrize("line", [
         "density=1.5", "density=-0.1", "size=2", "sg_distance=-1", "reps=0",
         "instances_per_point=0", "lookahead=0", "ara_initial_weight=0.5",
-        "ara_weight_decrement=0",
+        "ara_weight_decrement=0", "sweeps=",
     ])
     def test_domain_error(self, tmp_path, line):
         cfg = tmp_path / "bad.cfg"
