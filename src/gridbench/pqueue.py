@@ -5,6 +5,11 @@ the heap (and in the byte accounting) until they surface on pop, which is
 how lazy deletion actually spends memory.  Keys are tuples; a monotone
 sequence number breaks exact key ties, so pops are fully deterministic and
 payload items are never compared.
+
+A* and ARA* use this class.  The incremental planners (``solvers.dstar``,
+``solvers.lpa``) and the real-time agents write the same heap out inline
+in their search loops, with the same supersede-on-re-push rule and the
+same stale-entry frees.
 """
 
 from __future__ import annotations

@@ -13,15 +13,20 @@ backward uniform-cost sweep.  The whole record store is kept; its
 footprint is part of what the benchmarks measure.  The store is four
 dense arrays indexed by padded id (tag, h, k, back-pointer), but the
 probe charges one record per cell that has left NEW, as a hashed store
-of only the touched cells would hold.
+of only the touched cells would hold.  The open list is ``pqueue``'s lazy
+heap written out: ``_heap`` holds (key, seq, id) entries and ``_live``
+maps each queued id to the seq of the entry that counts, so a re-push
+supersedes the earlier entry and stale entries stay in the heap (and in
+the byte count) until they surface.
 """
 
 from __future__ import annotations
 
+from heapq import heappop, heappush
+
 from ..errors import InvalidCellError, NoPathError
 from ..grid import BLOCKED, OUTSIDE
-from ..instrumentation import RECORD_ENTRY_BYTES, AllocationProbe
-from ..pqueue import LazyHeap
+from ..instrumentation import HEAP_ENTRY_BYTES, RECORD_ENTRY_BYTES, AllocationProbe
 from .common import INF, SolverParams, path_cost_of, toggle_cell
 
 _NEW, _OPEN, _CLOSED = 0, 1, 2
@@ -42,7 +47,9 @@ class DStarPlanner:
         self._h = [INF] * size
         self._k = [INF] * size
         self._back = [-1] * size  # -1: no back-pointer
-        self._open = LazyHeap(self.probe)
+        self._heap = []
+        self._live = {}  # queued id -> seq of its current entry
+        self._seq = 0
         self.expanded = 0
 
     def _arcs(self, i):
@@ -80,21 +87,40 @@ class DStarPlanner:
         self._k[s] = k
         self._h[s] = h_new
         self._tag[s] = _OPEN
-        self._open.push(s, k)
+        self._seq += 1
+        self._live[s] = self._seq
+        heappush(self._heap, (k, self._seq, s))
+        self.probe.alloc(HEAP_ENTRY_BYTES)
 
     def _kmin(self) -> float:
-        top = self._open.peek()
-        return top[0] if top is not None else -1.0
+        """The least live key, -1.0 when the open list is empty; drops stale entries on top."""
+        heap, live = self._heap, self._live
+        while heap:
+            k, seq, s = heap[0]
+            if live.get(s) == seq:
+                return k
+            heappop(heap)
+            self.probe.free(HEAP_ENTRY_BYTES)
+        return -1.0
 
     def _process_state(self) -> None:
-        open_ = self._open
-        if not open_:
+        heap, live, probe = self._heap, self._live, self.probe
+        if not live:
             return
-        k_old, x = open_.pop()
-        tag, h, back, insert = self._tag, self._h, self._back, self._insert
+        # the pop and the LOWER inserts keep the probe's bytes in locals,
+        # written back before every probe call and return (see ``instrumentation``)
+        nbytes = probe.live_bytes
+        while True:
+            k_old, sq, x = heappop(heap)
+            nbytes -= HEAP_ENTRY_BYTES
+            if live.get(x) == sq:
+                del live[x]
+                break
+        probe.live_bytes = nbytes
+        tag, h, back = self._tag, self._h, self._back
         tag[x] = _CLOSED
         self.expanded += 1
-        self.probe.expand(x)
+        probe.expand(x)
         rh = h[x]
         if k_old < rh:
             arcs = self._arcs(x)
@@ -107,6 +133,7 @@ class DStarPlanner:
                     rh = h[x] = hy + c
             if k_old < rh:
                 # still raised: re-expand descendants and enlist possible rescuers
+                insert = self._insert
                 for y, c in arcs:
                     nh = rh + c
                     if tag[y] == _NEW:
@@ -123,8 +150,9 @@ class DStarPlanner:
         # LOWER: propagate the settled cost to neighbors; a cell without a
         # record (h = INF, back = -1) gets one when nh is finite.  Every
         # expansion of a static run lands here, so the arc rule of ``_arcs``
-        # is inlined and no list is built
-        flags = self._flags
+        # and the steps of ``_insert`` are inlined and no list is built
+        flags, kq = self._flags, self._k
+        seq, peak = self._seq, probe.peak_bytes
         x_blocked = flags[x]
         for off, cost, fa, fb in self._steps:
             y = x + off
@@ -136,11 +164,30 @@ class DStarPlanner:
             else:
                 nh = rh + cost
             if back[y] == x:
-                if h[y] != nh:
-                    insert(y, nh)
+                if h[y] == nh:
+                    continue
             elif h[y] > nh:
                 back[y] = x
-                insert(y, nh)
+            else:
+                continue
+            t = tag[y]
+            if t == _NEW:
+                nbytes += RECORD_ENTRY_BYTES
+                k = nh
+            else:
+                k = kq[y] if t == _OPEN else h[y]
+                if nh < k:
+                    k = nh
+            kq[y] = k
+            h[y] = nh
+            tag[y] = _OPEN
+            seq += 1
+            live[y] = seq
+            heappush(heap, (k, seq, y))
+            nbytes += HEAP_ENTRY_BYTES
+        self._seq = seq
+        probe.live_bytes = nbytes
+        probe.peak_bytes = nbytes if nbytes > peak else peak
 
     def initial_run(self) -> None:
         """Settle costs outward from the goal until the start is closed."""
@@ -149,10 +196,10 @@ class DStarPlanner:
         while True:
             # the peek also runs after the last expansion, so stale entries
             # leave the heap (and the byte count) before any later push
-            top = self._open.peek()
+            k = self._kmin()
             if self._tag[start] == _CLOSED:
                 return
-            if top is None:
+            if k < 0:
                 raise NoPathError(
                     f"no path from {tuple(self.grid.start)} to {tuple(self.grid.goal)}"
                 )

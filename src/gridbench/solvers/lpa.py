@@ -14,12 +14,12 @@ the goal and aims at the moving agent.
 
 from __future__ import annotations
 
+from heapq import heappop, heappush
 from math import hypot
 
 from ..errors import NoPathError
 from ..grid import neighbor_cells
-from ..instrumentation import MAP_ENTRY_BYTES, AllocationProbe
-from ..pqueue import LazyHeap
+from ..instrumentation import HEAP_ENTRY_BYTES, MAP_ENTRY_BYTES, AllocationProbe
 from .common import INF, SolverParams, cells_around, toggle_cell
 
 _HAS_G, _HAS_RHS = 1, 2  # bits of GRhsPlanner._held
@@ -51,13 +51,19 @@ class GRhsPlanner:
         # drops the lists around the toggled cell.  Not charged: like the
         # flags it is substrate, not search state
         self._nbrs = [None] * size
-        self._open = LazyHeap(self.probe)
+        # the open list is ``pqueue``'s lazy heap written out: (key, seq, id)
+        # entries, and ``_live`` maps each queued id to the seq of the entry
+        # that counts, so a re-push supersedes the earlier entry and stale
+        # entries stay in the heap (and in the byte count) until they surface
+        self._heap = []
+        self._live = {}
+        self._seq = 0
         self.expanded = 0
         self._aim(grid.index(target))
         self._last = self._target
         self._k_m = 0.0
         self._set_rhs(self._root, 0.0)
-        self._open.push(self._root, self._key(self._root))
+        self._update_vertex(self._root)
 
     def _aim(self, i: int) -> None:
         self._target = i
@@ -68,12 +74,6 @@ class GRhsPlanner:
         if nbrs is None:
             nbrs = self._nbrs[i] = neighbor_cells(i, self._flags, self._steps)
         return nbrs
-
-    def _set_g(self, s, v: float) -> None:
-        if not self._held[s] & _HAS_G:
-            self._held[s] |= _HAS_G
-            self.probe.alloc(MAP_ENTRY_BYTES)
-        self._g[s] = v
 
     def _set_rhs(self, s, v: float) -> None:
         if not self._held[s] & _HAS_RHS:
@@ -99,60 +99,121 @@ class GRhsPlanner:
                     if v < rhs:
                         rhs = v
             self._set_rhs(s, rhs)
-        self._open.remove(s)
+        self._live.pop(s, None)
         if self._g[s] != self._rhs[s]:
-            self._open.push(s, self._key(s))
+            self._seq += 1
+            self._live[s] = self._seq
+            heappush(self._heap, (self._key(s), self._seq, s))
+            self.probe.alloc(HEAP_ENTRY_BYTES)
 
     def compute(self) -> None:
         """Expand inconsistent cells until the target is consistent with a minimal key."""
-        g, rhs, open_ = self._g, self._rhs, self._open
-        target, root, neighbors = self._target, self._root, self._neighbors
-        held, probe, key = self._held, self.probe, self._key
-        # the target's key depends only on its g and rhs while compute runs,
-        # so it is recomputed only when one of them has changed
+        g, rhs, held, memo, neighbors = self._g, self._rhs, self._held, self._nbrs, self._neighbors
+        heap, live, seq, probe = self._heap, self._live, self._seq, self.probe
+        target, root, stride, tx, ty, k_m = (self._target, self._root, self._stride,
+                                             self._tx, self._ty, self._k_m)
+        # The queue steps, the keys and the first-write charges of ``_set_g``,
+        # ``_set_rhs`` and ``_update_vertex`` are inlined, and the probe's
+        # bytes are kept in locals, written back before every probe call,
+        # return and raise (see ``instrumentation``).  Each expansion only
+        # adds bytes after its pop, so the peak is raised once at its end.
+        nbytes, peak = probe.live_bytes, probe.peak_bytes
+        # the target's key depends only on its g and rhs while compute runs
+        # (its h is 0), so it is recomputed only when one of them has changed
         tg = trhs = None
-        while open_:
-            (k1, k2), _ = open_.peek()
+        while live:
+            while True:
+                k_old, sq, u = heap[0]
+                if live.get(u) == sq:
+                    break
+                heappop(heap)
+                nbytes -= HEAP_ENTRY_BYTES
             gt, rt = g[target], rhs[target]
             if gt != tg or rt != trhs:
                 tg, trhs = gt, rt
-                t1, t2 = key(target)
+                t2 = gt if gt < rt else rt
+                t1 = t2 + k_m
+            k1, k2 = k_old
             # k1 values within 1e-9 tie: one ulp of rounding must not end the search
             if not (k1 < t1 - 1e-9 or (k1 <= t1 + 1e-9 and k2 < t2) or rt != gt):
                 break
-            k_old, u = open_.pop()
-            k_new = key(u)
+            heappop(heap)
+            nbytes -= HEAP_ENTRY_BYTES
+            del live[u]
+            gu, ru = g[u], rhs[u]
+            m = gu if gu < ru else ru
+            k_new = (m + hypot(tx - u % stride, ty - u // stride) + k_m, m)
             if k_old < k_new:
                 # stale lower bound from before the target moved
-                open_.push(u, k_new)
+                seq += 1
+                live[u] = seq
+                heappush(heap, (k_new, seq, u))
+                nbytes += HEAP_ENTRY_BYTES
+                if nbytes > peak:
+                    peak = nbytes
                 continue
             self.expanded += 1
+            probe.live_bytes, probe.peak_bytes = nbytes, peak
             probe.expand(u)
-            if g[u] > rhs[u]:
+            nbrs = memo[u]
+            if nbrs is None:
+                nbrs = neighbors(u)
+            falls = gu > ru
+            if falls:
                 # g falls: every rhs already holds its full minimum and u is
                 # each neighbour's neighbour at the same step cost, so only
-                # the new g(u) + c can lower it (exact: min does not round).
-                # The first-write charge of ``_set_rhs`` and the queue steps
-                # of ``_update_vertex`` are inlined: about 10% of a solve
-                gu = rhs[u]
-                self._set_g(u, gu)
-                for n, c in neighbors(u):
-                    if n != root:
-                        if not held[n] & _HAS_RHS:
-                            held[n] |= _HAS_RHS
-                            probe.alloc(MAP_ENTRY_BYTES)
-                        v = gu + c
+                # the new g(u) + c can lower it (exact: min does not round)
+                if not held[u] & _HAS_G:
+                    held[u] |= _HAS_G
+                    nbytes += MAP_ENTRY_BYTES
+                g[u] = gu = ru
+            else:
+                # g rises (u already holds a g entry: g(u) < rhs(u)).  No
+                # neighbour's g changed, so rhs(u) keeps its exact value.  A
+                # neighbour n's rhs is the least g + c over its neighbours: if
+                # g_old(u) + c is not it, another neighbour attains it and
+                # rhs(n) stands; only where u was the argmin (a tie included)
+                # is the full 8-neighbour minimum taken again
+                g[u] = INF
+                if ru != INF:
+                    seq += 1
+                    live[u] = seq
+                    heappush(heap, ((ru + hypot(tx - u % stride, ty - u // stride) + k_m, ru),
+                                    seq, u))
+                    nbytes += HEAP_ENTRY_BYTES
+            for n, c in nbrs:
+                if n != root:
+                    if not held[n] & _HAS_RHS:
+                        held[n] |= _HAS_RHS
+                        nbytes += MAP_ENTRY_BYTES
+                    v = gu + c
+                    if falls:
                         if v < rhs[n]:
                             rhs[n] = v
-                    open_.remove(n)
-                    if g[n] != rhs[n]:
-                        open_.push(n, key(n))
-            else:
-                # g rises: u may have been a neighbour's argmin, recompute in full
-                self._set_g(u, INF)
-                self._update_vertex(u)
-                for n, _ in neighbors(u):
-                    self._update_vertex(n)
+                    elif v == rhs[n]:
+                        # n is free (blocked cells are in no neighbour list)
+                        best = INF
+                        nn = memo[n]
+                        if nn is None:
+                            nn = neighbors(n)
+                        for j, cj in nn:
+                            v = g[j] + cj
+                            if v < best:
+                                best = v
+                        rhs[n] = best
+                live.pop(n, None)
+                gn, rn = g[n], rhs[n]
+                if gn != rn:
+                    m = gn if gn < rn else rn
+                    seq += 1
+                    live[n] = seq
+                    heappush(heap, ((m + hypot(tx - n % stride, ty - n // stride) + k_m, m),
+                                    seq, n))
+                    nbytes += HEAP_ENTRY_BYTES
+            if nbytes > peak:
+                peak = nbytes
+        self._seq = seq
+        probe.live_bytes, probe.peak_bytes = nbytes, peak
         if g[target] == INF:
             raise self._no_path()
 

@@ -26,7 +26,9 @@ from gridbench import (
     generate_random_grid,
     path_cost_of,
 )
-from gridbench.solvers.dstar import _CLOSED
+from gridbench.grid import SQRT2
+from gridbench.instrumentation import HEAP_ENTRY_BYTES, MAP_ENTRY_BYTES, RECORD_ENTRY_BYTES
+from gridbench.solvers.dstar import _CLOSED, _NEW
 
 MAX_SIDE = 12
 
@@ -172,7 +174,39 @@ GRIDS = dict(
          ops=[("near", 2, 5), ("toggle", 2, 2), ("toggle", 5, 3)])
 @given(**GRIDS)
 def test_repairs_match_oracle(make, n, density, seed, corner_cutting, ops):
-    _replay(make, n, density, seed, corner_cutting, ops)
+    _replay(make, n, density, seed, corner_cutting, ops, after_repair=_assert_live_bytes)
+
+
+def _assert_live_bytes(planner, grid=None, blocked=None):
+    """The probe's live bytes are exactly the planner's held entries plus its heap entries.
+
+    The planners keep these bytes in locals while they search; a lost write-back
+    that leaves the peak unchanged shows here and in no pinned counter.
+    """
+    p = planner.p
+    if isinstance(p, DStarPlanner):
+        held = RECORD_ENTRY_BYTES * sum(1 for t in p._tag if t != _NEW)
+    else:
+        held = MAP_ENTRY_BYTES * sum(bin(b).count("1") for b in p._held)
+    assert p.probe.live_bytes == held + HEAP_ENTRY_BYTES * len(p._heap)
+
+
+@pytest.mark.parametrize("make", [_Lpa, _DStar, _DStarLite], ids=["LPA*", "D*", "D* Lite"])
+@pytest.mark.parametrize("walls", [((4, 5), (4, 4), (5, 4)), ((1, 0), (1, 1), (0, 1))],
+                         ids=["goal", "start"])
+def test_live_bytes_after_sealing_an_end(make, walls):
+    """The byte count is written back on the NoPathError path too."""
+    grid = Grid(6, 6, frozenset(), (0, 0), (5, 5))
+    planner = make(grid)
+    blocked = set()
+    assert _check(planner, grid, blocked) is not None
+    _assert_live_bytes(planner)
+    for cell in walls:
+        planner.toggle(cell, True)
+        blocked.add(cell)
+        path = _check(planner, grid, blocked)
+        _assert_live_bytes(planner)
+    assert path is None
 
 
 def _assert_rhs_exact(planner, grid, blocked):
@@ -200,6 +234,31 @@ def _assert_rhs_exact(planner, grid, blocked):
 @given(**GRIDS)
 def test_rhs_is_exact_after_every_repair(make, n, density, seed, corner_cutting, ops):
     _replay(make, n, density, seed, corner_cutting, ops, after_repair=_assert_rhs_exact)
+
+
+@pytest.mark.parametrize("make,start,goal", [(_Lpa, (0, 0), (4, 3)), (_DStarLite, (4, 3), (0, 0))],
+                         ids=["LPA*", "D* Lite"])
+def test_rhs_exact_when_a_raised_cell_ties_for_the_minimum(make, start, goal):
+    """A rising g recomputes a neighbour's rhs only where it was that rhs's argmin.
+
+    Both planners root the search at (0, 0) of an open 5x4 grid.  Blocking
+    (0, 1) cuts the root's diagonal to (1, 1), whose g then rises.  Before the
+    repair (1, 1) ties with (1, 0) for (2, 1)'s minimum and is the only argmin
+    of (2, 2)'s, so a repair that skips either recompute leaves a wrong rhs.
+    """
+    grid = Grid(5, 4, frozenset(), start, goal)
+    planner = make(grid)
+    _check(planner, grid, set())
+    p = planner.p
+    g = lambda c: p._g[grid.index(c)]  # noqa: E731
+    rhs = lambda c: p._rhs[grid.index(c)]  # noqa: E731
+    assert g((1, 1)) + 1 == g((1, 0)) + SQRT2 == rhs((2, 1))
+    assert g((1, 1)) + SQRT2 == rhs((2, 2))
+    assert all(g(m) + c > rhs((2, 2)) for m, c in grid.neighbors8((2, 2)) if m != (1, 1))
+    planner.toggle((0, 1), True)
+    _check(planner, grid, {(0, 1)})
+    assert g((1, 1)) > SQRT2
+    _assert_rhs_exact(planner, grid, {(0, 1)})
 
 
 @pytest.mark.parametrize("corner_cutting", [False, True], ids=["no-cut", "cut"])
