@@ -112,17 +112,17 @@ class GRhsPlanner:
         heap, live, seq, probe = self._heap, self._live, self._seq, self.probe
         target, root, stride, tx, ty, k_m = (self._target, self._root, self._stride,
                                              self._tx, self._ty, self._k_m)
-        # The queue steps, the keys and the first-write charges of ``_set_g``,
-        # ``_set_rhs`` and ``_update_vertex`` are inlined, and the probe's
-        # bytes are kept in locals, written back before every probe call,
-        # return and raise (see ``instrumentation``).  Each expansion only
-        # adds bytes after its pop, so the peak is raised once at its end.
+        # The steps of ``_update_vertex`` (the key, the queue step and the
+        # first-write charges) are written out, and the probe's bytes are
+        # kept in locals, written back before every probe call, return and
+        # raise (see ``instrumentation``).  Each expansion only adds bytes
+        # after its pop, so the peak is raised once at its end.
         nbytes, peak = probe.live_bytes, probe.peak_bytes
         # the target's key depends only on its g and rhs while compute runs
         # (its h is 0), so it is recomputed only when one of them has changed
         tg = trhs = None
         while live:
-            while True:
+            while True:  # peek: drop stale entries off the top
                 k_old, sq, u = heap[0]
                 if live.get(u) == sq:
                     break
