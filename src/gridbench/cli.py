@@ -43,10 +43,13 @@ def _solver_params(args) -> SolverParams:
 
 
 def _add_param_flags(parser) -> None:
-    parser.add_argument("--lookahead", type=int, default=250)
-    parser.add_argument("--ara-initial-weight", type=float, default=2.5)
-    parser.add_argument("--ara-weight-decrement", type=float, default=0.5)
-    parser.add_argument("--tie-break", choices=("high_g", "low_g"), default="high_g")
+    defaults = SolverParams()
+    parser.add_argument("--lookahead", type=int, default=defaults.lookahead)
+    parser.add_argument("--ara-initial-weight", type=float, default=defaults.ara_initial_weight)
+    parser.add_argument("--ara-weight-decrement", type=float,
+                        default=defaults.ara_weight_decrement)
+    parser.add_argument("--tie-break", choices=tuple(t.name.lower() for t in TieBreak),
+                        default=defaults.tie_break.name.lower())
 
 
 def _add_grid_args(parser) -> None:
@@ -91,24 +94,22 @@ def _cmd_solve(args) -> int:
     return 0
 
 
-def _cmd_select(args) -> int:
-    grid = _load_grid(args)
-    req = SelectionRequest(
-        grid=grid,
+def _selection_request(args) -> SelectionRequest:
+    return SelectionRequest(
+        grid=_load_grid(args),
         priority=parse_priority(args.priority),
         distance_threshold=args.threshold,
     )
-    print(select_algorithm(req).value)
+
+
+def _cmd_select(args) -> int:
+    print(select_algorithm(_selection_request(args)).value)
     return 0
 
 
 def _cmd_evaluate(args) -> int:
-    grid = _load_grid(args)
-    req = SelectionRequest(
-        grid=grid,
-        priority=parse_priority(args.priority),
-        distance_threshold=args.threshold,
-    )
+    req = _selection_request(args)
+    grid = req.grid
     evaluation = evaluate_selection(grid, req, params=_solver_params(args), reps=args.reps)
     print(",".join(CSV_COLUMNS + ("best_for_priority",)))
     size = f"{grid.width}x{grid.height}"

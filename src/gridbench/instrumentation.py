@@ -86,39 +86,3 @@ class TrackedMap:
         self._probe.free(self._entry_bytes * len(self.data))
         self.data.clear()
 
-
-class TrackedSet:
-    """Set wrapper with per-entry byte accounting."""
-
-    __slots__ = ("data", "_probe", "_entry_bytes")
-
-    def __init__(self, probe: AllocationProbe, entry_bytes: int = SET_ENTRY_BYTES):
-        self.data = set()
-        self._probe = probe
-        self._entry_bytes = entry_bytes
-
-    def add(self, item) -> None:
-        if item not in self.data:
-            self._probe.alloc(self._entry_bytes)
-            self.data.add(item)
-
-    def discard(self, item) -> None:
-        if item in self.data:
-            self._probe.free(self._entry_bytes)
-            self.data.discard(item)
-
-    def __contains__(self, item):
-        return item in self.data
-
-    def __len__(self):
-        return len(self.data)
-
-    def __bool__(self):
-        return bool(self.data)
-
-    def __iter__(self):
-        return iter(self.data)
-
-    def release(self) -> None:
-        self._probe.free(self._entry_bytes * len(self.data))
-        self.data.clear()

@@ -65,12 +65,11 @@ def measure_run(grid, algo: AlgorithmId, params: SolverParams | None = None) -> 
 
 
 def run_repetitions(grid, algo: AlgorithmId, params: SolverParams | None = None,
-                    reps: int = 100, warmup: bool = True) -> dict:
-    """Repeated measure_run, aggregated per metric."""
+                    reps: int = 100) -> dict:
+    """A discarded warm-up run, then ``reps`` measure_run calls aggregated per metric."""
     if reps < 1:
         raise MeasurementError(f"reps must be >= 1, got {reps}")
-    if warmup:
-        measure_run(grid, algo, params)
+    measure_run(grid, algo, params)
     runs = [measure_run(grid, algo, params) for _ in range(reps)]
     return {
         "path_cost": aggregate([r.path_cost for r in runs]),

@@ -1,31 +1,24 @@
 """Run-plan config parsing, CSV emission, and chart output.
 
-Config files are flat ``key=value`` lines with ``#`` comments.  Unknown
-keys are rejected with their line number; missing keys take the
-documented defaults, so an empty file yields the five default sweeps.
-
-Recognized keys:
-    seed, reps, instances_per_point, output_dir, parallel_pairs,
-    allow_corner_cutting, algorithms, sweeps, size, density, sg_distance,
-    lookahead, ara_initial_weight, ara_weight_decrement, tie_break,
-    and per-sweep value overrides grid_size.values, sg_distance.values,
-    density.values, wall_count.values, wall_length.values.
+Config files are flat ``key=value`` lines with ``#`` comments.  The keys
+are the field names of ``FixedParams`` and ``SolverParams``, those of
+``SweepConfig`` except ``kind``, ``values``, ``fixed`` and
+``solver_params``, and ``RunPlan.output_dir``.  Each line is read by the
+type of its field's default and passed to the constructor that owns the
+field, so a key the file leaves out takes its dataclass's default.  Two
+more keys shape the plan: ``sweeps`` (a subset of the five kinds, all by
+default) and ``<kind>.values`` (e.g. ``density.values``, one sweep's
+value list).  Unknown keys are rejected with their line number, so an
+empty file yields the five default sweeps.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .errors import ConfigError, InvalidSpecError
-from .experiments import (
-    DEFAULT_ALGORITHMS,
-    DEFAULT_SWEEP_VALUES,
-    ExperimentReport,
-    FixedParams,
-    SweepConfig,
-    SweepKind,
-)
+from .experiments import ExperimentReport, FixedParams, SweepConfig, SweepKind
 from .metrics import METRIC_NAMES
 from .solvers import AlgorithmId, SolverParams, TieBreak
 from .svgchart import Series, render_line_chart
@@ -71,35 +64,93 @@ def fmt3(v: float) -> str:
 # config parsing
 # ---------------------------------------------------------------------------
 
-_VALUE_KEYS = {f"{kind.value}.values": kind for kind in SweepKind}
-
-_SCALAR_KEYS = (
-    "seed", "reps", "instances_per_point", "output_dir", "parallel_pairs",
-    "allow_corner_cutting", "algorithms", "sweeps", "size", "density",
-    "sg_distance", "lookahead", "ara_initial_weight", "ara_weight_decrement",
-    "tie_break",
-)
-
-
-def _parse_bool(raw: str, where: str) -> bool:
-    low = raw.strip().lower()
+def _read_bool(raw: str) -> bool:
+    low = raw.lower()
     if low in ("true", "1", "yes", "on"):
         return True
     if low in ("false", "0", "no", "off"):
         return False
-    raise ConfigError(f"{where}: expected a boolean, got {raw!r}")
+    raise ConfigError(f"expected a boolean, got {raw!r}")
 
 
-def _parse_number(raw: str, where: str, kind=float):
+def _number_reader(kind):
+    def read(raw: str):
+        try:
+            return kind(raw)
+        except ValueError:
+            raise ConfigError(f"expected a number, got {raw!r}") from None
+    return read
+
+
+def _read_tie_break(raw: str) -> TieBreak:
     try:
-        return kind(raw)
-    except ValueError:
-        raise ConfigError(f"{where}: expected a number, got {raw!r}") from None
+        return TieBreak[raw.upper()]
+    except KeyError:
+        raise ConfigError(f"unknown tie_break {raw!r}") from None
+
+
+def _read_algorithms(raw: str) -> tuple:
+    return tuple(AlgorithmId.parse(part) for part in raw.split(",") if part.strip())
+
+
+def _reader(default):
+    """The reader of a field, chosen by its default (annotations are strings here)."""
+    if isinstance(default, bool):
+        return _read_bool
+    if isinstance(default, (int, float)):
+        return _number_reader(type(default))
+    if isinstance(default, TieBreak):
+        return _read_tie_break
+    if isinstance(default, tuple):
+        return _read_algorithms
+    return str
+
+
+def _read_kinds(raw: str) -> tuple:
+    kinds = []
+    for part in raw.split(","):
+        part = part.strip().lower()
+        if not part:
+            continue
+        try:
+            kinds.append(SweepKind(part))
+        except ValueError:
+            raise ConfigError(f"unknown sweep kind {part!r}") from None
+    if not kinds:
+        raise ConfigError("empty sweep list")
+    return tuple(kinds)
+
+
+def _values_reader(kind):
+    read = _number_reader(kind)
+
+    def read_values(raw: str) -> tuple:
+        parts = [p.strip() for p in raw.split(",") if p.strip()]
+        if not parts:
+            raise ConfigError("empty value list")
+        return tuple(read(p) for p in parts)
+    return read_values
+
+
+_OWNERS = (FixedParams, SolverParams, SweepConfig, RunPlan)
+# key -> (the dataclass that owns it, or None for the plan-shaping keys; its reader)
+_KEYS = {
+    f.name: (cls, _reader(f.default))
+    for cls in _OWNERS
+    for f in fields(cls)
+    if f.name not in ("kind", "values", "fixed", "solver_params", "sweeps")
+}
+_KEYS["sweeps"] = (None, _read_kinds)
+_KEYS.update({
+    f"{kind.value}.values":
+        (None, _values_reader(float if kind in (SweepKind.DENSITY, SweepKind.SG_DISTANCE) else int))
+    for kind in SweepKind
+})
 
 
 def parse_config(path) -> RunPlan:
     """Parse a flat key=value config into a run plan."""
-    entries = {}
+    given = {owner: {} for owner in (None,) + _OWNERS}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             stripped = line.split("#", 1)[0].strip()
@@ -108,98 +159,29 @@ def parse_config(path) -> RunPlan:
             if "=" not in stripped:
                 raise ConfigError(f"{path}:{lineno}: expected key=value, got {line.rstrip()!r}")
             key, raw = (part.strip() for part in stripped.split("=", 1))
-            if key not in _SCALAR_KEYS and key not in _VALUE_KEYS:
+            if key not in _KEYS:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            if key in entries:
+            owner, read = _KEYS[key]
+            if key in given[owner]:
                 raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
-            entries[key] = (raw, f"{path}:{lineno}")
-
-    def take(key, default, convert):
-        if key not in entries:
-            return default
-        raw, where = entries.pop(key)
-        return convert(raw, where)
-
-    seed = take("seed", 0, lambda r, w: _parse_number(r, w, int))
-    reps = take("reps", 100, lambda r, w: _parse_number(r, w, int))
-    instances = take("instances_per_point", 10, lambda r, w: _parse_number(r, w, int))
-    output_dir = take("output_dir", "results", lambda r, w: r)
-    parallel = take("parallel_pairs", False, _parse_bool)
-    corner = take("allow_corner_cutting", False, _parse_bool)
-    size = take("size", 300, lambda r, w: _parse_number(r, w, int))
-    density = take("density", 0.25, lambda r, w: _parse_number(r, w, float))
-    sg = take("sg_distance", 140.0, lambda r, w: _parse_number(r, w, float))
-    lookahead = take("lookahead", 250, lambda r, w: _parse_number(r, w, int))
-    ara_w = take("ara_initial_weight", 2.5, lambda r, w: _parse_number(r, w, float))
-    ara_dec = take("ara_weight_decrement", 0.5, lambda r, w: _parse_number(r, w, float))
-
-    def conv_tie(raw, where):
-        try:
-            return TieBreak[raw.strip().upper()]
-        except KeyError:
-            raise ConfigError(f"{where}: unknown tie_break {raw!r}") from None
-
-    tie = take("tie_break", TieBreak.HIGH_G, conv_tie)
-
-    def conv_algos(raw, where):
-        try:
-            return tuple(AlgorithmId.parse(part) for part in raw.split(",") if part.strip())
-        except InvalidSpecError as exc:
-            raise ConfigError(f"{where}: {exc}") from None
-
-    algorithms = take("algorithms", DEFAULT_ALGORITHMS, conv_algos)
-
-    def conv_kinds(raw, where):
-        kinds = []
-        for part in raw.split(","):
-            part = part.strip().lower()
-            if not part:
-                continue
             try:
-                kinds.append(SweepKind(part))
-            except ValueError:
-                raise ConfigError(f"{where}: unknown sweep kind {part!r}") from None
-        if not kinds:
-            raise ConfigError(f"{where}: empty sweep list")
-        return tuple(kinds)
+                given[owner][key] = read(raw)
+            except (ConfigError, InvalidSpecError) as exc:
+                raise ConfigError(f"{path}:{lineno}: {exc}") from None
 
-    kinds = take("sweeps", tuple(SweepKind), conv_kinds)
-
-    overrides = {}
-    for key, kind in _VALUE_KEYS.items():
-        if key in entries:
-            raw, where = entries.pop(key)
-            parts = [p.strip() for p in raw.split(",") if p.strip()]
-            if not parts:
-                raise ConfigError(f"{where}: empty value list")
-            num = float if kind in (SweepKind.DENSITY, SweepKind.SG_DISTANCE) else int
-            overrides[kind] = tuple(_parse_number(p, where, num) for p in parts)
-
-    # range rules live in the constructors
+    # range rules live in the constructors; SweepConfig fills empty values
+    shape = given[None]
     try:
-        fixed = FixedParams(density=density, size=size, sg_distance=sg)
-        solver_params = SolverParams(
-            lookahead=lookahead, ara_initial_weight=ara_w,
-            ara_weight_decrement=ara_dec, tie_break=tie,
-        )
+        fixed = FixedParams(**given[FixedParams])
+        solver_params = SolverParams(**given[SolverParams])
         sweeps = tuple(
-            SweepConfig(
-                kind=kind,
-                values=overrides.get(kind, DEFAULT_SWEEP_VALUES[kind]),
-                fixed=fixed,
-                algorithms=algorithms,
-                instances_per_point=instances,
-                reps=reps,
-                seed=seed,
-                solver_params=solver_params,
-                allow_corner_cutting=corner,
-                parallel_pairs=parallel,
-            )
-            for kind in kinds
+            SweepConfig(kind, shape.get(f"{kind.value}.values", ()), fixed,
+                        solver_params=solver_params, **given[SweepConfig])
+            for kind in shape.get("sweeps", tuple(SweepKind))
         )
     except (ConfigError, InvalidSpecError) as exc:
         raise ConfigError(f"{path}: {exc}") from None
-    return RunPlan(sweeps=sweeps, output_dir=output_dir)
+    return RunPlan(sweeps, **given[RunPlan])
 
 
 # ---------------------------------------------------------------------------

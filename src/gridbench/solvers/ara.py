@@ -16,7 +16,7 @@ from math import hypot
 
 from .. import grid as gridmod
 from ..errors import NoPathError
-from ..instrumentation import MAP_ENTRY_BYTES, AllocationProbe, TrackedSet
+from ..instrumentation import MAP_ENTRY_BYTES, SET_ENTRY_BYTES, AllocationProbe
 from ..pqueue import LazyHeap
 from .common import INF, SolverParams, reconstruct, tie_term
 
@@ -38,10 +38,10 @@ def run_detailed(grid, params: SolverParams, probe: AllocationProbe):
     probe.alloc(MAP_ENTRY_BYTES)
     parents = {}
     open_ = LazyHeap(probe)
-    closed = TrackedSet(probe)
+    closed = set()
     # keyed by (x, y): the iteration order of this set is the re-open
     # order, which breaks ties between equal keys in the next round
-    incons = TrackedSet(probe)
+    incons = set()
     expanded = 0
     iterates = []
 
@@ -55,7 +55,9 @@ def run_detailed(grid, params: SolverParams, probe: AllocationProbe):
             if top is not None and g.get(goal, INF) <= top[0][0]:
                 break
             _, s = open_.pop()
-            closed.add(s)
+            if s not in closed:
+                closed.add(s)
+                probe.alloc(SET_ENTRY_BYTES)
             expanded += 1
             probe.expand(s)
             gs = g[s]
@@ -69,7 +71,10 @@ def run_detailed(grid, params: SolverParams, probe: AllocationProbe):
                         probe.alloc(MAP_ENTRY_BYTES)
                     parents[n] = s
                     if n in closed:
-                        incons.add((n % stride - 1, n // stride - 1))
+                        xy = (n % stride - 1, n // stride - 1)
+                        if xy not in incons:
+                            incons.add(xy)
+                            probe.alloc(SET_ENTRY_BYTES)
                     else:
                         open_.push(n, (ng + w * h(n), tie_term(ng, tb)))
         cost = g.get(goal, INF)
@@ -86,8 +91,9 @@ def run_detailed(grid, params: SolverParams, probe: AllocationProbe):
             if s not in open_:
                 reopen.append(s)
         open_.release()
-        incons.release()
-        closed.release()
+        probe.free(SET_ENTRY_BYTES * (len(incons) + len(closed)))
+        incons.clear()
+        closed.clear()
         for s in reopen:
             open_.push(s, (g[s] + w * h(s), tie_term(g[s], tb)))
 

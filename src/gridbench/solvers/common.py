@@ -90,6 +90,21 @@ class SolverParams:
             raise InvalidSpecError(f"weight decrement must be > 0, got {self.ara_weight_decrement}")
 
 
+# planners whose queue keys fix the order of equal entries
+FIXED_KEY_ORDER = frozenset({AlgorithmId.LPA_STAR, AlgorithmId.D_STAR, AlgorithmId.D_STAR_LITE})
+
+
+def require_default_tie_break(params: SolverParams, algorithms) -> None:
+    """Reject a non-default tie_break that a planner in ``algorithms`` would ignore."""
+    if params.tie_break is not TieBreak.HIGH_G:
+        fixed = [a.label for a in algorithms if a in FIXED_KEY_ORDER]
+        if fixed:
+            raise InvalidSpecError(
+                f"tie_break={params.tie_break.name} is not supported by "
+                f"{', '.join(fixed)}, whose queue keys fix the order of ties"
+            )
+
+
 @dataclass(frozen=True)
 class SearchOutcome:
     """Result of one solve: the path plus its instrumentation readings."""

@@ -27,7 +27,14 @@ from heapq import heappop, heappush
 from ..errors import InvalidCellError, NoPathError
 from ..grid import BLOCKED, OUTSIDE
 from ..instrumentation import HEAP_ENTRY_BYTES, RECORD_ENTRY_BYTES, AllocationProbe
-from .common import INF, SolverParams, path_cost_of, toggle_cell
+from .common import (
+    INF,
+    AlgorithmId,
+    SolverParams,
+    path_cost_of,
+    require_default_tie_break,
+    toggle_cell,
+)
 
 _NEW, _OPEN, _CLOSED = 0, 1, 2
 
@@ -36,6 +43,7 @@ class DStarPlanner:
     def __init__(self, grid, params: SolverParams | None = None, probe: AllocationProbe | None = None):
         self.grid = grid
         self.params = params or SolverParams()
+        require_default_tie_break(self.params, (AlgorithmId.D_STAR,))
         self.probe = probe or AllocationProbe()
         # padded flags of the planner's own (mutable) copy of the grid
         self._flags = bytearray(grid.flags)
@@ -67,13 +75,6 @@ class DStarPlanner:
             else:
                 out.append((j, cost))
         return out
-
-    def _arc(self, i, off, cost, fa, fb) -> float:
-        """The one arc of step ``(off, cost, fa, fb)`` out of cell ``i``, by the rule of ``_arcs``."""
-        flags = self._flags
-        if flags[i] or flags[i + off] or (fa and (flags[i + fa] or flags[i + fb])):
-            return INF
-        return cost
 
     def _insert(self, s, h_new: float) -> None:
         tag = self._tag[s]
@@ -238,13 +239,11 @@ class DStarPlanner:
         path = [origin]
         cur = origin
         limit = self.grid.width * self.grid.height + 1
-        step_of = {step[0]: step for step in self._steps}
         while cur != goal:
             nxt = self._back[cur]
             if nxt < 0:
                 raise NoPathError(f"broken back-pointer chain at {tuple(coord(cur))}")
-            step = step_of.get(nxt - cur)
-            if step is None or self._arc(cur, *step) == INF:
+            if dict(self._arcs(cur)).get(nxt, INF) == INF:
                 raise NoPathError(f"back-pointer chain crosses a blocked arc at {tuple(coord(cur))}")
             cur = nxt
             path.append(cur)

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from gridbench import (
@@ -5,11 +7,13 @@ from gridbench import (
     ConfigError,
     DEFAULT_SWEEP_VALUES,
     FixedParams,
+    InvalidSpecError,
     SweepConfig,
     SweepKind,
     run_sweep,
     wall_length_sequence,
 )
+from gridbench.solvers import SolverParams, TieBreak
 
 FAST_PAIR = (AlgorithmId.ASTAR_ORACLE, AlgorithmId.D_STAR_LITE)
 
@@ -67,6 +71,15 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             FixedParams(**field)
         FixedParams(size=3, density=0.0, sg_distance=0.0)  # the boundaries are legal
+
+    @pytest.mark.parametrize("algo", [
+        AlgorithmId.LPA_STAR, AlgorithmId.D_STAR, AlgorithmId.D_STAR_LITE,
+    ])
+    def test_low_g_rejected_with_a_fixed_key_planner(self, algo):
+        low_g = SolverParams(tie_break=TieBreak.LOW_G)
+        with pytest.raises(InvalidSpecError, match=re.escape(algo.label)):
+            tiny_cfg(algorithms=(AlgorithmId.ARA_STAR, algo), solver_params=low_g)
+        tiny_cfg(algorithms=(AlgorithmId.ARA_STAR,), solver_params=low_g)
 
 
 class TestRunSweep:

@@ -296,6 +296,17 @@ def test_out_of_bounds_toggle_rejected(cls):
             planner.set_blocked(cell)
 
 
+def test_dstar_path_check_rejects_an_unrepaired_chain():
+    # without replan() the back-pointers still cross the toggled cell
+    planner = DStarPlanner(Grid(5, 3, frozenset(), (0, 1), (4, 1)))
+    planner.solve()
+    planner.set_blocked((2, 1))
+    with pytest.raises(NoPathError, match="blocked arc"):
+        planner.extract_path()
+    planner.replan((0, 1))
+    assert (2, 1) not in planner.extract_path()
+
+
 def _dstar_lite_script(seed):
     """Twelve toggles on a 20/30/40-cell grid, the agent moving 3 steps before every other one.
 

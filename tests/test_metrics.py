@@ -15,7 +15,7 @@ from gridbench import (
     measure_run,
     run_repetitions,
 )
-from gridbench.instrumentation import TrackedMap, TrackedSet
+from gridbench.instrumentation import TrackedMap
 from gridbench.pqueue import LazyHeap
 from helpers import two_pass_stats
 
@@ -85,16 +85,6 @@ class TestProbe:
         m.release()
         assert p.live_bytes == 0
         assert p.peak_bytes == 20
-
-    def test_tracked_set_accounting(self):
-        p = AllocationProbe()
-        s = TrackedSet(p, entry_bytes=8)
-        s.add("a")
-        s.add("a")
-        s.add("b")
-        s.discard("a")
-        assert p.live_bytes == 8
-        assert "b" in s and "a" not in s
 
     def test_lazy_heap_supersede_and_bytes(self):
         p = AllocationProbe()

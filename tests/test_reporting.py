@@ -1,4 +1,5 @@
 import os
+import re
 from pathlib import Path
 
 import pytest
@@ -15,7 +16,7 @@ from gridbench import (
     write_csv,
 )
 from gridbench.experiments import DEFAULT_ALGORITHMS
-from gridbench.reporting import CSV_COLUMNS, csv_rows
+from gridbench.reporting import _KEYS, CSV_COLUMNS, csv_rows
 from gridbench.solvers import TieBreak
 
 
@@ -103,13 +104,37 @@ class TestConfigParsing:
         assert plan.sweeps[0].fixed.size == 20
 
     def test_solver_param_keys(self, tmp_path):
+        # LOW_G needs algorithms that honour it (see test_low_g_with_default_algorithms)
         cfg = tmp_path / "p.cfg"
-        cfg.write_text("lookahead=100\nara_initial_weight=3.0\ntie_break=low_g\n")
+        cfg.write_text("lookahead=100\nara_initial_weight=3.0\ntie_break=low_g\n"
+                       "algorithms=LRTA_STAR,RTAA_STAR,ARA_STAR\n")
         plan = parse_config(cfg)
         sp = plan.sweeps[0].solver_params
         assert sp.lookahead == 100
         assert sp.ara_initial_weight == 3.0
         assert sp.tie_break is TieBreak.LOW_G
+
+    def test_low_g_with_default_algorithms(self, tmp_path):
+        cfg = tmp_path / "low.cfg"
+        cfg.write_text("tie_break=low_g\n")
+        with pytest.raises(ConfigError, match="low.cfg: tie_break=LOW_G"):
+            parse_config(cfg)
+
+    def test_first_bad_line_named(self, tmp_path):
+        cfg = tmp_path / "b.cfg"
+        cfg.write_text("seed=1\nlookahead=y\nreps=x\n")
+        with pytest.raises(ConfigError, match=r"b.cfg:2: expected a number, got 'y'"):
+            parse_config(cfg)
+
+    def test_readme_plan_block(self, tmp_path):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        block = re.search(r"### Run-plan config.*?```ini\n(.*?)```", readme, re.S).group(1)
+        cfg = tmp_path / "readme.cfg"
+        cfg.write_text(block)
+        parse_config(cfg)
+        named = {line.split("=", 1)[0].strip() for line in block.splitlines() if "=" in line}
+        scalar_keys = {key for key in _KEYS if not key.endswith(".values")}
+        assert scalar_keys - named == set()
 
     def test_duplicate_key_rejected(self, tmp_path):
         cfg = tmp_path / "d.cfg"

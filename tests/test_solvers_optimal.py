@@ -7,6 +7,7 @@ from gridbench import (
     AlgorithmId,
     Coord,
     Grid,
+    InvalidSpecError,
     NoPathError,
     RandomGridSpec,
     astar_oracle,
@@ -63,6 +64,19 @@ class TestOracle:
 
 
 class TestSolveContract:
+    @pytest.mark.parametrize("algo, cls", [
+        (AlgorithmId.LPA_STAR, LpaStarPlanner),
+        (AlgorithmId.D_STAR, DStarPlanner),
+        (AlgorithmId.D_STAR_LITE, DStarLitePlanner),
+    ], ids=["LPA*", "D*", "D* Lite"])
+    def test_fixed_key_planner_rejects_low_g(self, algo, cls):
+        g = empty_grid(6, 6)
+        low_g = SolverParams(tie_break=TieBreak.LOW_G)
+        with pytest.raises(InvalidSpecError, match="LOW_G"):
+            solve(g, algo, low_g)
+        with pytest.raises(InvalidSpecError, match="LOW_G"):
+            cls(g, low_g)
+
     @pytest.mark.parametrize("algo", ALL_ALGOS, ids=lambda a: a.value)
     def test_trivial_start_equals_goal(self, algo):
         g = Grid(4, 4, frozenset(), (1, 1), (1, 1))
