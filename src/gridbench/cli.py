@@ -33,23 +33,26 @@ from .selector import (
 from .solvers import AlgorithmId, SolverParams, TieBreak, solve
 
 
-def _solver_params(args) -> SolverParams:
+def _solver_params(args, **extra) -> SolverParams:
     return SolverParams(
         lookahead=args.lookahead,
         ara_initial_weight=args.ara_initial_weight,
         ara_weight_decrement=args.ara_weight_decrement,
-        tie_break=TieBreak[args.tie_break.upper()],
+        **extra,
     )
 
 
 def _add_param_flags(parser) -> None:
+    """Solver flags shared by ``solve`` and ``evaluate``.
+
+    ``--tie-break`` is ``solve``'s alone: LPA*, D* and D* Lite reject
+    ``low_g``, and ``evaluate``'s candidates include D* Lite.
+    """
     defaults = SolverParams()
     parser.add_argument("--lookahead", type=int, default=defaults.lookahead)
     parser.add_argument("--ara-initial-weight", type=float, default=defaults.ara_initial_weight)
     parser.add_argument("--ara-weight-decrement", type=float,
                         default=defaults.ara_weight_decrement)
-    parser.add_argument("--tie-break", choices=tuple(t.name.lower() for t in TieBreak),
-                        default=defaults.tie_break.name.lower())
 
 
 def _add_grid_args(parser) -> None:
@@ -81,7 +84,8 @@ def _cmd_solve(args) -> int:
     grid = _load_grid(args)
     algo = AlgorithmId.parse(args.algo)
     try:
-        outcome = solve(grid, algo, _solver_params(args))
+        outcome = solve(grid, algo,
+                        _solver_params(args, tie_break=TieBreak[args.tie_break.upper()]))
     except NoPathError:
         print("no path")
         return 1
@@ -153,6 +157,8 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_grid_args(p_solve)
     p_solve.add_argument("--algo", required=True)
     _add_param_flags(p_solve)
+    p_solve.add_argument("--tie-break", choices=tuple(t.name.lower() for t in TieBreak),
+                         default=SolverParams().tie_break.name.lower())
     p_solve.set_defaults(func=_cmd_solve)
 
     p_select = sub.add_parser("select", help="priority-based algorithm selection")

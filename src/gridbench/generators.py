@@ -4,7 +4,9 @@ Random family: n x n grids with an exact obstacle count
 floor(density * (n^2 - 2) + 0.5), obstacles drawn uniformly without
 replacement from all cells except start and goal, and a start/goal pair
 whose Euclidean separation lands within 0.5 of the requested distance.
-Draws that leave the goal unreachable are rejected wholesale.
+Draws that leave the goal unreachable are rejected wholesale; the
+reachability check is a best-first search toward the goal that stops as
+soon as it gets there.
 
 Wall family: fixed 31-wide x 71-tall grids with full-width-minus-gap
 horizontal walls every 10 rows, anchored to the left edge on odd rows
@@ -21,6 +23,7 @@ import math
 import random
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from heapq import heappop, heappush
 
 from . import grid as gridmod
 from .errors import GenerationError, InvalidSpecError
@@ -72,10 +75,6 @@ def obstacle_count(n: int, density: float) -> int:
     return math.floor(density * (n * n - 2) + 0.5)
 
 
-def _rand_below(rng: random.Random, n: int) -> int:
-    return min(int(rng.random() * n), n - 1)
-
-
 @lru_cache(maxsize=64)
 def _distance_ring(n: int, sg_distance: float) -> tuple:
     """Integer offsets whose length is within 0.5 of sg_distance."""
@@ -89,53 +88,70 @@ def _distance_ring(n: int, sg_distance: float) -> tuple:
 
 
 def is_solvable(grid: Grid) -> bool:
-    """Breadth-first reachability of the goal from the start."""
+    """Whether the goal is reachable from the start.
+
+    Reachability is yes or no, so any search that stops at the goal
+    answers it.  This one is best-first on squared straight-line distance
+    to the goal: on an open grid it walks a narrow band toward the goal
+    instead of flooding a disc around the start.  When the goal is cut
+    off it still visits the whole of the start's component.
+    """
     if grid.start == grid.goal:
         return True
     flags, steps = grid.flags, grid.steps
     # looked up per call, not at import, so a patched gridbench.grid is seen
     neighbors = gridmod.neighbor_cells
+    stride, size = grid.width + 2, len(flags)
     start, goal = grid.index(grid.start), grid.index(grid.goal)
-    seen = bytearray(len(flags))
+    gy, gx = divmod(goal, stride)
+    seen = bytearray(size)
     seen[start] = 1
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for c in frontier:
-            for n, _ in neighbors(c, flags, steps):
-                if n == goal:
-                    return True
-                if not seen[n]:
-                    seen[n] = 1
-                    nxt.append(n)
-        frontier = nxt
+    # a heap entry is one int, squared distance * size + id: it orders by
+    # distance, then id, and costs less to push and pop than a tuple
+    heap = [start]
+    while heap:
+        for n, _ in neighbors(heappop(heap) % size, flags, steps):
+            if n == goal:
+                return True
+            if not seen[n]:
+                seen[n] = 1
+                y, x = divmod(n, stride)
+                heappush(heap, ((x - gx) ** 2 + (y - gy) ** 2) * size + n)
     return False
 
 
 def generate_random_grid(spec: RandomGridSpec, allow_corner_cutting: bool = False) -> Grid:
-    rng = random.Random(spec.seed)
+    rand = random.Random(spec.seed).random
     n = spec.n
     target = obstacle_count(n, spec.density)
     ring = _distance_ring(n, spec.sg_distance)
+    new = tuple.__new__  # a Coord without NamedTuple's argument handling
     for _ in range(MAX_GENERATION_ATTEMPTS):
-        start = Coord(_rand_below(rng, n), _rand_below(rng, n))
+        # every draw is min(int(rand() * k), k - 1): uniform on 0 .. k-1
+        sx = min(int(rand() * n), n - 1)
+        sy = min(int(rand() * n), n - 1)
         goals = [
-            Coord(start.x + dx, start.y + dy)
+            (sx + dx, sy + dy)
             for dx, dy in ring
-            if 0 <= start.x + dx < n and 0 <= start.y + dy < n
+            if 0 <= sx + dx < n and 0 <= sy + dy < n
         ]
         if not goals:
             continue
-        goal = goals[_rand_below(rng, len(goals))]
-        cells = [(x, y) for y in range(n) for x in range(n) if (x, y) != start and (x, y) != goal]
-        if target > len(cells):
-            continue
+        gx, gy = goals[min(int(rand() * len(goals)), len(goals) - 1)]
+        # cells are row-major ids y * n + x, minus start and goal (one cell
+        # when they coincide); the higher id goes first so the lower keeps its place
+        cells = list(range(n * n))
+        for i in sorted({sy * n + sx, gy * n + gx}, reverse=True):
+            del cells[i]
         # partial Fisher-Yates: first `target` positions become the blocked set
         m = len(cells)
         for i in range(target):
-            j = i + _rand_below(rng, m - i)
+            j = i + int(rand() * (m - i))
+            if j == m:  # the same clamp as min(..., k - 1), without the call
+                j -= 1
             cells[i], cells[j] = cells[j], cells[i]
-        grid = Grid(n, n, frozenset(cells[:target]), start, goal, allow_corner_cutting)
+        blocked = frozenset([new(Coord, (c % n, c // n)) for c in cells[:target]])
+        grid = Grid(n, n, blocked, Coord(sx, sy), Coord(gx, gy), allow_corner_cutting)
         if is_solvable(grid):
             return grid
     raise GenerationError(

@@ -128,7 +128,8 @@ class Grid:
     def __post_init__(self):
         if self.width < 1 or self.height < 1:
             raise InvalidCellError(f"degenerate grid {self.width}x{self.height}")
-        object.__setattr__(self, "blocked", frozenset(Coord(c[0], c[1]) for c in self.blocked))
+        object.__setattr__(self, "blocked", frozenset(
+            c if type(c) is Coord else Coord(c[0], c[1]) for c in self.blocked))
         object.__setattr__(self, "start", Coord(self.start[0], self.start[1]))
         object.__setattr__(self, "goal", Coord(self.goal[0], self.goal[1]))
         stride = self.width + 2

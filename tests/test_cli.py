@@ -35,6 +35,15 @@ def corner_sealed_file(tmp_path):
     return str(path)
 
 
+@pytest.fixture()
+def wall_file(tmp_path):
+    # one wall across the grid with a gap at its right end
+    g = Grid(8, 8, frozenset(Coord(x, 3) for x in range(7)), (0, 0), (0, 7))
+    path = tmp_path / "wall.txt"
+    save_grid(g, path)
+    return str(path)
+
+
 class TestSelect:
     def test_memory_prints_dstar_lite(self, grid_file, capsys):
         assert main(["select", grid_file, "--priority", "memory"]) == 0
@@ -101,6 +110,16 @@ class TestEvaluate:
                      "--allow-corner-cutting"]) == 0
         rows = capsys.readouterr().out.strip().splitlines()[1:4]
         assert [r.split(",")[6] for r in rows] == ["2.828"] * 3
+
+
+    def test_default_on_wall_grid(self, wall_file, capsys):
+        assert main(["evaluate", wall_file, "--priority", "memory", "--reps", "1"]) == 0
+        assert "selected: D_STAR_LITE" in capsys.readouterr().out
+
+    def test_tie_break_is_usage_error(self, wall_file):
+        # the candidates cannot all honour one tie-break, so evaluate takes none
+        assert main(["evaluate", wall_file, "--priority", "memory", "--reps", "1",
+                     "--tie-break", "low_g"]) == 2
 
 
 class TestGen:

@@ -1,3 +1,7 @@
+import hashlib
+import json
+from collections import deque
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -17,6 +21,8 @@ from gridbench import (
     obstacle_count,
     wall_length_sequence,
 )
+from gridbench.grid import NEIGHBOR_STEPS
+from helpers import grid_neighbors
 
 
 class TestRandomGrids:
@@ -167,3 +173,78 @@ class TestSolvability:
 
     def test_trivial(self):
         assert is_solvable(Grid(5, 5, frozenset(), (2, 2), (2, 2)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_matches_reference_bfs(self, data):
+        g = data.draw(solvability_grids())
+        assert is_solvable(g) == reference_reachable(g)
+
+
+def reference_reachable(grid) -> bool:
+    """Plain breadth-first search over the coordinate reference neighbourhood."""
+    seen = {grid.start}
+    frontier = deque([grid.start])
+    while frontier:
+        for n, _ in grid_neighbors(grid, frontier.popleft()):
+            if n not in seen:
+                seen.add(n)
+                frontier.append(n)
+    return grid.goal in seen
+
+
+@st.composite
+def solvability_grids(draw):
+    """Small grids, some with start == goal and some with the goal sealed in."""
+    w, h = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    cells = [(x, y) for y in range(h) for x in range(w)]
+    start = draw(st.sampled_from(cells))
+    goal = start if draw(st.integers(0, 4)) == 0 else draw(st.sampled_from(cells))
+    blocked = draw(st.sets(st.sampled_from(cells)))
+    if draw(st.booleans()):
+        gx, gy = goal
+        blocked |= {(gx + dx, gy + dy) for dx, dy, _ in NEIGHBOR_STEPS} & set(cells)
+    blocked -= {start, goal}
+    return Grid(w, h, frozenset(blocked), start, goal, draw(st.booleans()))
+
+
+def grid_digest(grid) -> str:
+    """sha256 of a canonical dump: size, sorted blocked cells, start, goal, movement rule."""
+    dump = json.dumps({
+        "width": grid.width,
+        "height": grid.height,
+        "blocked": sorted([c[0], c[1]] for c in grid.blocked),
+        "start": list(grid.start),
+        "goal": list(grid.goal),
+        "allow_corner_cutting": grid.allow_corner_cutting,
+    }, separators=(",", ":"))
+    return hashlib.sha256(dump.encode()).hexdigest()
+
+
+class TestGoldenGrids:
+    """Generated grids are pinned byte for byte: equal specs, equal instances, forever."""
+
+    @pytest.mark.parametrize("spec, cc, digest", [
+        # the reference instance: solvable on the first draw
+        (RandomGridSpec(300, 0.25, 140.0, 0), False,
+         "3e63c31a19f3446cd300327b95be38502dfbc3fea43c838c62a0ce81a4204925"),
+        # dense: the first draw is rejected as unsolvable
+        (RandomGridSpec(300, 0.40, 140.0, 1), False,
+         "10b44c0bd4ab796ab6d2d4906f1c40ca0e364eeec35887a2ab5e42b67b47b4f7"),
+        # start == goal: one cell, not two, leaves the obstacle pool
+        (RandomGridSpec(12, 0.3, 0.0, 0), False,
+         "55c8cde97cc99e90e952d55f4a2609e25c62bd12fc979d894ea3c86d867bd0a0"),
+        # corner cutting, first draw rejected
+        (RandomGridSpec(20, 0.55, 10.0, 4), True,
+         "491b39a40994151a5b73bd35446262468f178d1d9546bd647b87881078aeff8e"),
+        # smallest side, first draw rejected
+        (RandomGridSpec(3, 0.5, 1.0, 3), False,
+         "02abfb2b7c0a74bbf74ecc645b62fe85899318cf74876735a13b317f6f89a59e"),
+        # a distance only corner-to-corner starts can reach
+        (RandomGridSpec(5, 0.2, 5.5, 3), False,
+         "aa2d6a3377a7c6edb7d34b8ce22f4c10ed5a6dbefda36bac4bd3d755503573d4"),
+        (RandomGridSpec(20, 0.0, 10.0, 4), False,
+         "79243b84d4b73fe4922b2cd273640e405c12f94896c787524781739aab7a5166"),
+    ])
+    def test_digest(self, spec, cc, digest):
+        assert grid_digest(generate_random_grid(spec, cc)) == digest

@@ -233,6 +233,21 @@ class TestGridValidation:
         g = Grid(3, 3, frozenset(), (1, 1), (1, 1))
         assert g.start == g.goal
 
+    def test_blocked_members_are_coords_for_any_input(self):
+        cells = [(1, 0), (2, 3), (0, 2), (3, 1)]
+        inputs = [
+            frozenset(cells),
+            frozenset(Coord(*c) for c in cells),
+            frozenset([Coord(*cells[0]), cells[1], Coord(*cells[2]), cells[3]]),
+            set(cells),
+        ]
+        grids = [Grid(4, 4, b, (0, 0), (3, 3)) for b in inputs]
+        for g in grids:
+            assert all(type(c) is Coord for c in g.blocked)
+            assert g == grids[0]
+            assert hash(g) == hash(grids[0])
+            assert g.flags == grids[0].flags
+
 
 class TestTextFormat:
     def test_round_trip(self):
