@@ -111,7 +111,6 @@ class TestEvaluate:
         rows = capsys.readouterr().out.strip().splitlines()[1:4]
         assert [r.split(",")[6] for r in rows] == ["2.828"] * 3
 
-
     def test_default_on_wall_grid(self, wall_file, capsys):
         assert main(["evaluate", wall_file, "--priority", "memory", "--reps", "1"]) == 0
         assert "selected: D_STAR_LITE" in capsys.readouterr().out

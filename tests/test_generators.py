@@ -163,24 +163,6 @@ class TestWallLengthSequence:
         assert all(b - a == 2 for a, b in zip(seq, seq[1:]))
 
 
-class TestSolvability:
-    def test_empty(self):
-        assert is_solvable(Grid(5, 5, frozenset(), (0, 0), (4, 4)))
-
-    def test_separating_row(self):
-        blocked = frozenset(Coord(x, 2) for x in range(5))
-        assert not is_solvable(Grid(5, 5, blocked, (0, 0), (4, 4)))
-
-    def test_trivial(self):
-        assert is_solvable(Grid(5, 5, frozenset(), (2, 2), (2, 2)))
-
-    @settings(max_examples=200, deadline=None)
-    @given(st.data())
-    def test_matches_reference_bfs(self, data):
-        g = data.draw(solvability_grids())
-        assert is_solvable(g) == reference_reachable(g)
-
-
 def reference_reachable(grid) -> bool:
     """Plain breadth-first search over the coordinate reference neighbourhood."""
     seen = {grid.start}
@@ -208,6 +190,23 @@ def solvability_grids(draw):
     return Grid(w, h, frozenset(blocked), start, goal, draw(st.booleans()))
 
 
+class TestSolvability:
+    def test_empty(self):
+        assert is_solvable(Grid(5, 5, frozenset(), (0, 0), (4, 4)))
+
+    def test_separating_row(self):
+        blocked = frozenset(Coord(x, 2) for x in range(5))
+        assert not is_solvable(Grid(5, 5, blocked, (0, 0), (4, 4)))
+
+    def test_trivial(self):
+        assert is_solvable(Grid(5, 5, frozenset(), (2, 2), (2, 2)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(solvability_grids())
+    def test_matches_reference_bfs(self, g):
+        assert is_solvable(g) == reference_reachable(g)
+
+
 def grid_digest(grid) -> str:
     """sha256 of a canonical dump: size, sorted blocked cells, start, goal, movement rule."""
     dump = json.dumps({
@@ -222,7 +221,7 @@ def grid_digest(grid) -> str:
 
 
 class TestGoldenGrids:
-    """Generated grids are pinned byte for byte: equal specs, equal instances, forever."""
+    """Generated grids are pinned: a spec yields the same grid in every version."""
 
     @pytest.mark.parametrize("spec, cc, digest", [
         # the reference instance: solvable on the first draw
