@@ -12,7 +12,8 @@ The two update rules:
 
 * LRTA* (learning): rebuild h over the expanded region by a
   shortest-path backup from the frontier, i.e. the fixpoint of
-  h(s) = min over neighbors s' of step_cost(s, s') + h(s');
+  h(s) = min over neighbors s' of step_cost(s, s') + h(s').  The backup
+  is a Dijkstra search that queues a cell only when its value improves;
 * RTAA* (adaptive): the bulk rule h(s) = f(best frontier) - g(s) for
   every s expanded this episode.
 
@@ -39,7 +40,7 @@ from ..instrumentation import (
     SET_ENTRY_BYTES,
     AllocationProbe,
 )
-from .common import SolverParams, TieBreak
+from .common import INF, SolverParams, TieBreak
 
 _N_ARRAYS = 5  # h, g, tree, generated-counter, expanded-counter (negated once settled)
 
@@ -83,6 +84,7 @@ class RealTimeAgent:
         # stored h climbing past this bound proves the goal unreachable
         self._h_cap = self._ncells * SQRT2 + 1.0
         self._closed = []  # ids expanded by the most recent episode
+        self._open = {}  # ids on its open list when its lookahead stopped
 
     @property
     def position(self):
@@ -93,6 +95,15 @@ class RealTimeAgent:
     def last_closed(self) -> list:
         """Cells expanded by the most recent episode."""
         return [self.grid.coord(i) for i in self._closed]
+
+    @property
+    def last_open(self) -> list:
+        """Cells on the open list when the most recent lookahead stopped.
+
+        A cell whose g fell after its expansion is pushed again, so it can
+        be in both lists; the learning backup seeds it as frontier.
+        """
+        return [self.grid.coord(i) for i in self._open]
 
     def h_value(self, c) -> float:
         """Current stored heuristic for a cell."""
@@ -186,7 +197,7 @@ class RealTimeAgent:
             if nbytes > peak:
                 peak = nbytes
         self.expanded += expd
-        self._closed = closed
+        self._closed, self._open = closed, live
 
         if not reached:
             # peek at the best frontier entry, discarding stale ones on the way
@@ -217,7 +228,7 @@ class RealTimeAgent:
             for si in closed:
                 h_arr[si] = f_best - g_arr[si]
         else:
-            self._learning_backup(list(live), eid)
+            self._learning_backup(list(live), closed, eid)
 
         self._step(self._chain_to(best, oi)[0])
         self._finish_episode(heap, closed)
@@ -252,10 +263,22 @@ class RealTimeAgent:
         """Free the episode's open-list entries, stale ones included, and its closed stack."""
         self.probe.free(HEAP_ENTRY_BYTES * len(heap) + ARRAY_SLOT_BYTES * len(closed))
 
-    def _learning_backup(self, frontier: list, eid: int) -> None:
-        """Dijkstra from the frontier into this episode's expanded region."""
+    def _learning_backup(self, frontier: list, closed: list, eid: int) -> None:
+        """Dijkstra from the frontier into this episode's expanded region.
+
+        Frontier cells enter the queue at their stored h.  Every cell of
+        ``closed`` starts at a tentative value of INF, kept in the ``g``
+        array: LRTA* reads no g once the lookahead is over.  A settled cell
+        pushes an expanded neighbour only when ``d + c`` is strictly below
+        the neighbour's tentative value, and a cell's first popped entry is
+        written back as its h.  That entry is the earliest pushed at the
+        cell's least value, as it would be if every relaxation were pushed,
+        so pushing improvements alone changes only the queue's size.
+        """
         probe, neighbors, memo = self.probe, self._neighbors, self._nbrs
-        h_arr, exp = self._h, self._exp
+        h_arr, dist, exp = self._h, self._g, self._exp
+        for si in closed:
+            dist[si] = INF
         pq = [(h_arr[si], seq, si) for seq, si in enumerate(frontier, 1)]
         seq = len(pq)
         heapify(pq)
@@ -280,9 +303,12 @@ class RealTimeAgent:
                 nbrs = neighbors(si)
             for ni, c in nbrs:
                 if exp[ni] == eid:
-                    seq += 1
-                    heappush(pq, (d + c, seq, ni))
-                    nbytes += HEAP_ENTRY_BYTES
+                    nd = d + c
+                    if nd < dist[ni]:
+                        dist[ni] = nd
+                        seq += 1
+                        heappush(pq, (nd, seq, ni))
+                        nbytes += HEAP_ENTRY_BYTES
             if nbytes > peak:
                 peak = nbytes
         probe.live_bytes = nbytes - SET_ENTRY_BYTES * settled

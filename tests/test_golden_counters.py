@@ -22,7 +22,7 @@ A = AlgorithmId
 
 # algorithm -> (repr(path_cost), expanded, peak_memory_bytes, len(path))
 WALL_7_21 = {
-    A.LRTA_STAR: ("147.68124086713183", 22177, 144256, 123),
+    A.LRTA_STAR: ("147.68124086713183", 22177, 139584, 123),
     A.RTAA_STAR: ("174.16652224137056", 28468, 118728, 147),
     A.ARA_STAR: ("135.1959594928932", 3473, 330736, 113),
     A.LPA_STAR: ("135.1959594928932", 1811, 279808, 113),
@@ -32,7 +32,7 @@ WALL_7_21 = {
 }
 
 RANDOM_60 = {
-    A.LRTA_STAR: ("61.79898987322332", 2134, 182968, 57),
+    A.LRTA_STAR: ("61.79898987322332", 2134, 181304, 57),
     A.RTAA_STAR: ("60.38477631085023", 3494, 157976, 56),
     A.ARA_STAR: ("58.38477631085023", 758, 146128, 54),
     A.LPA_STAR: ("58.38477631085023", 634, 114784, 54),
@@ -60,17 +60,17 @@ VARIANTS = {
 }
 
 REALTIME_VARIANTS = {
-    ("wall_7_21", "lookahead_1", A.LRTA_STAR): ("1589.1686142824262", 1491, 89840, 1492),
+    ("wall_7_21", "lookahead_1", A.LRTA_STAR): ("1589.1686142824262", 1491, 89552, 1492),
     ("wall_7_21", "lookahead_1", A.RTAA_STAR): ("1589.1686142824262", 1491, 88752, 1492),
-    ("wall_7_21", "lookahead_7_low_g", A.LRTA_STAR): ("721.0853531617402", 4442, 93992, 638),
+    ("wall_7_21", "lookahead_7_low_g", A.LRTA_STAR): ("721.0853531617402", 4442, 93776, 638),
     ("wall_7_21", "lookahead_7_low_g", A.RTAA_STAR): ("702.4406922210678", 4234, 90912, 609),
-    ("wall_7_21", "corner_cutting", A.LRTA_STAR): ("134.75230867899725", 19129, 145216, 108),
+    ("wall_7_21", "corner_cutting", A.LRTA_STAR): ("134.75230867899725", 19129, 140768, 108),
     ("wall_7_21", "corner_cutting", A.RTAA_STAR): ("153.82337649086284", 23436, 120576, 125),
-    ("random_60", "lookahead_1", A.LRTA_STAR): ("94.24264068711928", 93, 145608, 94),
+    ("random_60", "lookahead_1", A.LRTA_STAR): ("94.24264068711928", 93, 145464, 94),
     ("random_60", "lookahead_1", A.RTAA_STAR): ("94.24264068711928", 93, 144712, 94),
-    ("random_60", "lookahead_7_low_g", A.LRTA_STAR): ("117.69848480983495", 734, 147544, 110),
+    ("random_60", "lookahead_7_low_g", A.LRTA_STAR): ("117.69848480983495", 734, 146976, 110),
     ("random_60", "lookahead_7_low_g", A.RTAA_STAR): ("74.0416305603426", 448, 145352, 68),
-    ("random_60", "corner_cutting", A.LRTA_STAR): ("48.284271247461895", 486, 173720, 41),
+    ("random_60", "corner_cutting", A.LRTA_STAR): ("48.284271247461895", 486, 171600, 41),
     ("random_60", "corner_cutting", A.RTAA_STAR): ("48.284271247461895", 998, 162808, 41),
 }
 

@@ -15,6 +15,7 @@ from gridbench import (
     generate_random_grid,
     solve,
 )
+from gridbench.instrumentation import ARRAY_SLOT_BYTES
 from gridbench.solvers import RealTimeAgent, SolverParams
 from helpers import assert_valid_path, dijkstra_from
 
@@ -96,15 +97,62 @@ class TestLrtaHeuristicUpdates:
             for cell, d in truth.items():
                 assert agent.h_value(cell) <= d + 1e-9, (seed, cell)
 
-    def test_backup_is_local_fixpoint(self):
-        # after an episode, every updated cell satisfies the one-step
-        # dynamic-programming equation within the local space
-        g = generate_random_grid(RandomGridSpec(n=12, density=0.2, sg_distance=8, seed=5))
-        agent = RealTimeAgent(g, SolverParams(lookahead=15), AllocationProbe(), adaptive=False)
-        agent.run_episode()
-        for s in agent.last_closed:
-            expected = min(c + agent.h_value(n) for n, c in g.neighbors8(s))
-            assert agent.h_value(s) == pytest.approx(expected, abs=1e-9)
+    @pytest.mark.parametrize("lookahead", (1, 15, SolverParams().lookahead))
+    @pytest.mark.parametrize("corner_cutting", (False, True), ids=("no_cut", "cut"))
+    def test_backup_is_local_fixpoint(self, lookahead, corner_cutting):
+        # after every episode short of the goal, each expanded cell that is
+        # not back on the open list satisfies the one-step dynamic-programming
+        # equation over its neighbours.  Exactly: the backup sets h(s) to its
+        # settling neighbour's h plus the step cost, the same sum this min
+        # takes.  A cell re-opened after its expansion is a frontier seed
+        # and keeps its h
+        backups = 0
+        for seed in range(8):
+            spec = RandomGridSpec(n=60, density=0.3, sg_distance=40, seed=seed)
+            g = generate_random_grid(spec, corner_cutting)
+            agent = RealTimeAgent(g, SolverParams(lookahead=lookahead), AllocationProbe(),
+                                  adaptive=False)
+            while not agent.run_episode():
+                backups += 1
+                frontier = set(agent.last_open)
+                for s in agent.last_closed:
+                    if s in frontier:
+                        continue
+                    expected = min(c + agent.h_value(n) for n, c in g.neighbors8(s))
+                    assert agent.h_value(s) == expected, (seed, s)
+        assert backups > 0
+
+
+@pytest.mark.parametrize("adaptive", (False, True), ids=("lrta", "rtaa"))
+@pytest.mark.parametrize("lookahead", (1, 15, SolverParams().lookahead))
+def test_live_bytes_balance_after_every_episode(adaptive, lookahead):
+    """Between episodes the probe holds the five per-cell arrays and nothing else.
+
+    Each episode keeps its heap, closed-stack and settled-set bytes in
+    locals; a charge with no matching release, or a lost write-back, that
+    leaves the peak unchanged shows here and in no pinned counter.
+    """
+    for seed in range(4):
+        for corner_cutting in (False, True):
+            spec = RandomGridSpec(n=40, density=0.3, sg_distance=30, seed=seed)
+            g = generate_random_grid(spec, corner_cutting)
+            probe = AllocationProbe()
+            agent = RealTimeAgent(g, SolverParams(lookahead=lookahead), probe, adaptive)
+            arrays = 5 * g.width * g.height * ARRAY_SLOT_BYTES
+            while not agent.run_episode():
+                assert probe.live_bytes == arrays, (seed, corner_cutting)
+            assert probe.live_bytes == 0
+
+
+@pytest.mark.parametrize("adaptive", (False, True), ids=("lrta", "rtaa"))
+def test_live_bytes_zero_after_no_path(adaptive):
+    ring = {(2, 2), (3, 2), (4, 2), (2, 3), (4, 3), (2, 4), (3, 4), (4, 4)}
+    g = Grid(6, 6, frozenset(Coord(*c) for c in ring), (0, 0), (3, 3))
+    probe = AllocationProbe()
+    agent = RealTimeAgent(g, SolverParams(), probe, adaptive)
+    with pytest.raises(NoPathError):
+        agent.run()
+    assert probe.live_bytes == 0
 
 
 def test_h_value_rejects_out_of_bounds_cells():
