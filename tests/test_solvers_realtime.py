@@ -23,6 +23,10 @@ SQRT2 = math.sqrt(2)
 
 REALTIME = (AlgorithmId.LRTA_STAR, AlgorithmId.RTAA_STAR)
 
+# the goal (3, 3) walled in by a ring of 8 blocked cells
+_RING = ((2, 2), (3, 2), (4, 2), (2, 3), (4, 3), (2, 4), (3, 4), (4, 4))
+SEALED_GOAL = Grid(6, 6, frozenset(Coord(*c) for c in _RING), (0, 0), (3, 3))
+
 
 @pytest.mark.parametrize("algo", REALTIME, ids=lambda a: a.value)
 class TestBasics:
@@ -51,10 +55,8 @@ class TestBasics:
         assert out.path[-1] == g.goal
 
     def test_no_path(self, algo):
-        ring = {(2, 2), (3, 2), (4, 2), (2, 3), (4, 3), (2, 4), (3, 4), (4, 4)}
-        g = Grid(6, 6, frozenset(Coord(*c) for c in ring), (0, 0), (3, 3))
         with pytest.raises(NoPathError):
-            solve(g, algo)
+            solve(SEALED_GOAL, algo)
 
 
 class TestRtaaHeuristicUpdates:
@@ -97,30 +99,30 @@ class TestLrtaHeuristicUpdates:
             for cell, d in truth.items():
                 assert agent.h_value(cell) <= d + 1e-9, (seed, cell)
 
-    @pytest.mark.parametrize("lookahead", (1, 15, SolverParams().lookahead))
-    @pytest.mark.parametrize("corner_cutting", (False, True), ids=("no_cut", "cut"))
-    def test_backup_is_local_fixpoint(self, lookahead, corner_cutting):
+    def test_backup_is_local_fixpoint(self):
         # after every episode short of the goal, each expanded cell that is
         # not back on the open list satisfies the one-step dynamic-programming
         # equation over its neighbours.  Exactly: the backup sets h(s) to its
         # settling neighbour's h plus the step cost, the same sum this min
         # takes.  A cell re-opened after its expansion is a frontier seed
         # and keeps its h
-        backups = 0
-        for seed in range(8):
-            spec = RandomGridSpec(n=60, density=0.3, sg_distance=40, seed=seed)
-            g = generate_random_grid(spec, corner_cutting)
-            agent = RealTimeAgent(g, SolverParams(lookahead=lookahead), AllocationProbe(),
-                                  adaptive=False)
-            while not agent.run_episode():
-                backups += 1
-                frontier = set(agent.last_open)
-                for s in agent.last_closed:
-                    if s in frontier:
-                        continue
-                    expected = min(c + agent.h_value(n) for n, c in g.neighbors8(s))
-                    assert agent.h_value(s) == expected, (seed, s)
-        assert backups > 0
+        for corner_cutting in (False, True):
+            for lookahead in (1, 15, SolverParams().lookahead):
+                backups = 0
+                for seed in range(8):
+                    spec = RandomGridSpec(n=60, density=0.3, sg_distance=40, seed=seed)
+                    g = generate_random_grid(spec, corner_cutting)
+                    agent = RealTimeAgent(g, SolverParams(lookahead=lookahead),
+                                          AllocationProbe(), adaptive=False)
+                    while not agent.run_episode():
+                        backups += 1
+                        frontier = set(agent.last_open)
+                        for s in agent.last_closed:
+                            if s in frontier:
+                                continue
+                            expected = min(c + agent.h_value(n) for n, c in g.neighbors8(s))
+                            assert agent.h_value(s) == expected, (corner_cutting, lookahead, seed, s)
+                assert backups > 0, (corner_cutting, lookahead)
 
 
 @pytest.mark.parametrize("adaptive", (False, True), ids=("lrta", "rtaa"))
@@ -146,10 +148,8 @@ def test_live_bytes_balance_after_every_episode(adaptive, lookahead):
 
 @pytest.mark.parametrize("adaptive", (False, True), ids=("lrta", "rtaa"))
 def test_live_bytes_zero_after_no_path(adaptive):
-    ring = {(2, 2), (3, 2), (4, 2), (2, 3), (4, 3), (2, 4), (3, 4), (4, 4)}
-    g = Grid(6, 6, frozenset(Coord(*c) for c in ring), (0, 0), (3, 3))
     probe = AllocationProbe()
-    agent = RealTimeAgent(g, SolverParams(), probe, adaptive)
+    agent = RealTimeAgent(SEALED_GOAL, SolverParams(), probe, adaptive)
     with pytest.raises(NoPathError):
         agent.run()
     assert probe.live_bytes == 0
