@@ -3,8 +3,10 @@
 Each sweep varies one environment parameter while holding the others at
 fixed defaults (density 0.25, size 300x300, start-goal distance 140),
 generates a set of instances per parameter value, measures every
-algorithm on every instance, and aggregates per-instance means into one
-report row per (algorithm, value).
+algorithm once on every distinct instance grid, and aggregates
+per-instance means into one report row per (algorithm, value).  A wall
+point lists its one deterministic grid once per instance, so that grid
+is measured once and each instance takes the same measurement.
 
 The held-constant start-goal distance is capped at n - 1 on grids too
 small to realize it, so the size sweep stays well defined at its lower
@@ -127,7 +129,11 @@ class ExperimentReport:
 
 def _point(cfg: SweepConfig, index: int, value) -> tuple:
     """One parameter point's instance grids (shared by all algorithms) and
-    its row labels (num_walls, wall_length, density, grid_size)."""
+    its row labels (num_walls, wall_length, density, grid_size).
+
+    A wall point's list holds its one grid ``instances_per_point`` times
+    (the same object), which ``run_sweep`` measures once per algorithm;
+    a random point's list holds distinct grids."""
     fixed = cfg.fixed
     if cfg.kind in (SweepKind.WALL_COUNT, SweepKind.WALL_LENGTH):
         if cfg.kind is SweepKind.WALL_COUNT:
@@ -169,25 +175,27 @@ def run_sweep(cfg: SweepConfig) -> ExperimentReport:
         except (GenerationError, InvalidSpecError) as exc:
             raise type(exc)(f"sweep {cfg.kind.value}, value {value}: {exc}") from exc
 
-    jobs = [
-        (grids[i], algo, cfg.solver_params, cfg.reps)
-        for grids, _ in points
-        for algo in cfg.algorithms
-        for i in range(cfg.instances_per_point)
-    ]
+    # One job per distinct (grid, algorithm) pair in order of first
+    # occurrence, keyed by grid identity: a wall point lists its one grid
+    # instances_per_point times, while equal random instances stay separate.
+    jobs = {}
+    for grids, _ in points:
+        for algo in cfg.algorithms:
+            for grid in grids:
+                jobs.setdefault((id(grid), algo), (grid, algo, cfg.solver_params, cfg.reps))
     if cfg.parallel_pairs:
         with ProcessPoolExecutor() as pool:
-            results = list(pool.map(_measure_point, jobs))
+            measured = list(pool.map(_measure_point, jobs.values()))
     else:
-        results = [_measure_point(job) for job in jobs]
+        measured = [_measure_point(job) for job in jobs.values()]
+    results = dict(zip(jobs, measured))
 
     rows = []
-    cursor = 0
     for value, (grids, labels) in zip(cfg.values, points):
         mean_sg = sum(sg_distance(g) for g in grids) / len(grids)
         for algo in cfg.algorithms:
-            per_grid = results[cursor:cursor + cfg.instances_per_point]
-            cursor += cfg.instances_per_point
+            # every instance slot naming a grid takes its one result, so n is kept
+            per_grid = [results[id(g), algo] for g in grids]
             stats = {m: aggregate([stats[m].mean for stats in per_grid]) for m in METRIC_NAMES}
             rows.append(SweepRow(algo, value, *labels, sg_distance=mean_sg, stats=stats))
     provenance = {

@@ -13,6 +13,9 @@ from gridbench import (
     run_sweep,
     wall_length_sequence,
 )
+from gridbench import experiments
+from gridbench.generators import WallGridSpec, generate_wall_grid
+from gridbench.metrics import aggregate, run_repetitions
 from gridbench.solvers import SolverParams, TieBreak
 
 FAST_PAIR = (AlgorithmId.ASTAR_ORACLE, AlgorithmId.D_STAR_LITE)
@@ -153,8 +156,55 @@ class TestRunSweep:
         assert all(r.num_walls == 7 for r in report.rows)
 
     def test_parallel_matches_serial_deterministic_metrics(self):
-        serial = run_sweep(tiny_cfg())
-        parallel = run_sweep(tiny_cfg(parallel_pairs=True))
-        for r1, r2 in zip(serial.rows, parallel.rows):
-            assert r1.stats["path_cost"].mean == r2.stats["path_cost"].mean
-            assert r1.stats["memory_kb"].mean == r2.stats["memory_kb"].mean
+        # a random sweep, and a wall sweep whose one grid fans out to 2 instances
+        wall = {"kind": SweepKind.WALL_COUNT, "values": (1, 2), "reps": 1}
+        for overrides in ({}, wall):
+            serial = run_sweep(tiny_cfg(**overrides))
+            parallel = run_sweep(tiny_cfg(parallel_pairs=True, **overrides))
+            assert len(serial.rows) == len(parallel.rows) == 4
+            for r1, r2 in zip(serial.rows, parallel.rows):
+                assert (r1.algorithm, r1.value) == (r2.algorithm, r2.value)
+                assert r1.stats["path_cost"].mean == r2.stats["path_cost"].mean
+                assert r1.stats["memory_kb"].mean == r2.stats["memory_kb"].mean
+                assert all(s.n == 2 for s in r2.stats.values())
+
+
+class TestDistinctJobs:
+    """run_sweep measures each distinct (grid, algorithm) pair once."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+        real = experiments.run_repetitions
+
+        def counting(grid, algo, params=None, reps=100):
+            calls.append((grid, algo))
+            return real(grid, algo, params, reps=reps)
+
+        monkeypatch.setattr(experiments, "run_repetitions", counting)
+        return calls
+
+    def test_wall_point_measures_its_grid_once(self, calls):
+        cfg = tiny_cfg(kind=SweepKind.WALL_COUNT, values=(1, 2), instances_per_point=3, reps=1)
+        report = run_sweep(cfg)
+        assert len(calls) == 4  # 2 values x 2 algorithms
+        assert len({(id(g), a) for g, a in calls}) == 4
+        for row in report.rows:
+            assert all(s.n == 3 for s in row.stats.values())
+            spec = WallGridSpec(num_walls=row.num_walls, wall_length=row.wall_length)
+            direct = run_repetitions(generate_wall_grid(spec), row.algorithm, reps=1)
+            for m in ("path_cost", "memory_kb"):
+                assert row.stats[m].mean == direct[m].mean
+            assert row.stats["solve_time_ms"].stddev == 0.0
+
+    def test_random_point_measures_every_instance(self, calls):
+        cfg = tiny_cfg(instances_per_point=3)
+        report = run_sweep(cfg)
+        assert len(calls) == 2 * 2 * 3  # values x algorithms x instances
+        for index, value in enumerate(cfg.values):
+            grids, _ = experiments._point(cfg, index, value)
+            for row in (r for r in report.rows if r.value == value):
+                assert all(s.n == 3 for s in row.stats.values())
+                direct = [run_repetitions(g, row.algorithm, reps=1) for g in grids]
+                for m in ("path_cost", "memory_kb"):
+                    assert row.stats[m].mean == aggregate([d[m].mean for d in direct]).mean
