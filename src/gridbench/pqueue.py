@@ -8,8 +8,10 @@ payload items are never compared.
 
 A* and ARA* use this class.  The incremental planners (``solvers.dstar``,
 ``solvers.lpa``) and the real-time agents write the same heap out inline
-in their search loops, with the same supersede-on-re-push rule and the
-same stale-entry frees.
+in their search loops, with flat key tuples and the same stale-entry
+frees.  A re-push there still supersedes the earlier entry, but the g/rhs
+core (``solvers.lpa``) re-pushes a cell only when its rhs or g changed,
+and LRTA*'s backup only when a value improved.
 """
 
 from __future__ import annotations

@@ -8,16 +8,17 @@ states that first try to reroute through a settled neighbor, entries with
 k == h are LOWER states that propagate improvements to their neighbors.
 On an arc-cost change (an obstacle toggled), affected CLOSED cells
 re-enter the open list and processing resumes until the robot's cell is
-again provably optimal.  On a static grid the initial run is a plain
-backward uniform-cost sweep.  The whole record store is kept; its
-footprint is part of what the benchmarks measure.  The store is four
-dense arrays indexed by padded id (tag, h, k, back-pointer), but the
-probe charges one record per cell that has left NEW, as a hashed store
-of only the touched cells would hold.  The open list is ``pqueue``'s lazy
-heap written out: ``_heap`` holds (key, seq, id) entries and ``_live``
-maps each queued id to the seq of the entry that counts, so a re-push
-supersedes the earlier entry and stale entries stay in the heap (and in
-the byte count) until they surface.
+again provably optimal.  ``initial_run`` and ``replan`` drive the same
+search loop (``_run``) with different stop rules.  On a static grid the
+initial run is a plain backward uniform-cost sweep.  The whole record
+store is kept; its footprint is part of what the benchmarks measure.
+The store is four dense arrays indexed by padded id (tag, h, k,
+back-pointer), but the probe charges one record per cell that has left
+NEW, as a hashed store of only the touched cells would hold.  The open
+list is ``pqueue``'s lazy heap written out: ``_heap`` holds (key, seq,
+id) entries and ``_live`` maps each queued id to the seq of the entry
+that counts, so a re-push supersedes the earlier entry and stale entries
+stay in the heap (and in the byte count) until they surface.
 """
 
 from __future__ import annotations
@@ -93,118 +94,116 @@ class DStarPlanner:
         heappush(self._heap, (k, self._seq, s))
         self.probe.alloc(HEAP_ENTRY_BYTES)
 
-    def _kmin(self) -> float:
-        """The least live key, -1.0 when the open list is empty; drops stale entries on top."""
-        heap, live = self._heap, self._live
-        while heap:
-            k, seq, s = heap[0]
-            if live.get(s) == seq:
-                return k
-            heappop(heap)
-            self.probe.free(HEAP_ENTRY_BYTES)
-        return -1.0
+    def _run(self, stop: int, initial: bool) -> None:
+        """Expand the least-keyed OPEN cell until the search can stop at cell ``stop``.
 
-    def _process_state(self) -> None:
-        heap, live, probe = self._heap, self._live, self.probe
-        if not live:
-            return
-        # the pop and the LOWER inserts keep the probe's bytes in locals,
-        # written back before every probe call and return (see ``instrumentation``)
-        nbytes = probe.live_bytes
+        The initial run stops once ``stop`` is CLOSED and raises NoPathError
+        if the open list empties first; a replan stops when the least key is
+        no less than h(stop), or the open list is empty.
+        """
+        heap, live, tag, h, kq, back = (self._heap, self._live, self._tag, self._h, self._k,
+                                        self._back)
+        flags, steps, probe, seq = self._flags, self._steps, self.probe, self._seq
+        # the pops and the LOWER inserts keep the probe's bytes in locals,
+        # written back before every probe call, return and raise (see
+        # ``instrumentation``); each expansion only adds bytes after its pop,
+        # so the peak is raised once at its end
+        nbytes, peak = probe.live_bytes, probe.peak_bytes
         while True:
-            k_old, sq, x = heappop(heap)
-            nbytes -= HEAP_ENTRY_BYTES
-            if live.get(x) == sq:
-                del live[x]
+            # peek, dropping stale entries off the top; it also runs after
+            # the last expansion, so they leave the heap (and the byte count)
+            # before any later push
+            while heap:
+                k_old, sq, x = heap[0]
+                if live.get(x) == sq:
+                    break
+                heappop(heap)
+                nbytes -= HEAP_ENTRY_BYTES
+            if not heap or (tag[stop] == _CLOSED if initial else k_old >= h[stop]):
                 break
-        probe.live_bytes = nbytes
-        tag, h, back = self._tag, self._h, self._back
-        tag[x] = _CLOSED
-        self.expanded += 1
-        probe.expand(x)
-        rh = h[x]
-        if k_old < rh:
-            arcs = self._arcs(x)
-            # RAISE: try to reroute through an already-settled neighbor
-            # (a cell without a record has h = INF and never qualifies)
-            for y, c in arcs:
-                hy = h[y]
-                if hy <= k_old and rh > hy + c:
-                    back[x] = y
-                    rh = h[x] = hy + c
+            heappop(heap)
+            nbytes -= HEAP_ENTRY_BYTES
+            del live[x]
+            tag[x] = _CLOSED
+            self.expanded += 1
+            probe.live_bytes, probe.peak_bytes = nbytes, peak
+            probe.expand(x)
+            rh = h[x]
             if k_old < rh:
-                # still raised: re-expand descendants and enlist possible rescuers
-                insert = self._insert
+                arcs = self._arcs(x)
+                # RAISE: try to reroute through an already-settled neighbor
+                # (a cell without a record has h = INF and never qualifies)
                 for y, c in arcs:
-                    nh = rh + c
-                    if tag[y] == _NEW:
-                        if nh < INF:
-                            back[y] = x
+                    hy = h[y]
+                    if hy <= k_old and rh > hy + c:
+                        back[x] = y
+                        rh = h[x] = hy + c
+                if k_old < rh:
+                    # still raised: re-expand descendants and enlist possible
+                    # rescuers, through ``_insert`` and the probe's own counts
+                    self._seq = seq
+                    insert = self._insert
+                    for y, c in arcs:
+                        nh = rh + c
+                        if tag[y] == _NEW:
+                            if nh < INF:
+                                back[y] = x
+                                insert(y, nh)
+                        elif back[y] == x and h[y] != nh:
                             insert(y, nh)
-                    elif back[y] == x and h[y] != nh:
-                        insert(y, nh)
-                    elif back[y] != x and h[y] > nh:
-                        insert(x, rh)
-                    elif back[y] != x and rh > h[y] + c and tag[y] == _CLOSED and h[y] > k_old:
-                        insert(y, h[y])
-                return
-        # LOWER: propagate the settled cost to neighbors; a cell without a
-        # record (h = INF, back = -1) gets one when nh is finite.  Every
-        # expansion of a static run lands here, so the arc rule of ``_arcs``
-        # and the steps of ``_insert`` are inlined and no list is built
-        flags, kq = self._flags, self._k
-        seq, peak = self._seq, probe.peak_bytes
-        x_blocked = flags[x]
-        for off, cost, fa, fb in self._steps:
-            y = x + off
-            f = flags[y]
-            if f == OUTSIDE:
-                continue
-            if x_blocked or f or (fa and (flags[x + fa] or flags[x + fb])):
-                nh = INF
-            else:
-                nh = rh + cost
-            if back[y] == x:
-                if h[y] == nh:
+                        elif back[y] != x and h[y] > nh:
+                            insert(x, rh)
+                        elif back[y] != x and rh > h[y] + c and tag[y] == _CLOSED and h[y] > k_old:
+                            insert(y, h[y])
+                    seq, nbytes, peak = self._seq, probe.live_bytes, probe.peak_bytes
                     continue
-            elif h[y] > nh:
-                back[y] = x
-            else:
-                continue
-            t = tag[y]
-            if t == _NEW:
-                nbytes += RECORD_ENTRY_BYTES
-                k = nh
-            else:
-                k = kq[y] if t == _OPEN else h[y]
-                if nh < k:
+            # LOWER: propagate the settled cost to neighbors; a cell without a
+            # record (h = INF, back = -1) gets one when nh is finite.  Every
+            # expansion of a static run lands here, so the arc rule of ``_arcs``
+            # and the steps of ``_insert`` are inlined and no list is built
+            x_blocked = flags[x]
+            for off, cost, fa, fb in steps:
+                y = x + off
+                f = flags[y]
+                if f == OUTSIDE:
+                    continue
+                if x_blocked or f or (fa and (flags[x + fa] or flags[x + fb])):
+                    nh = INF
+                else:
+                    nh = rh + cost
+                if back[y] == x:
+                    if h[y] == nh:
+                        continue
+                elif h[y] > nh:
+                    back[y] = x
+                else:
+                    continue
+                t = tag[y]
+                if t == _NEW:
+                    nbytes += RECORD_ENTRY_BYTES
                     k = nh
-            kq[y] = k
-            h[y] = nh
-            tag[y] = _OPEN
-            seq += 1
-            live[y] = seq
-            heappush(heap, (k, seq, y))
-            nbytes += HEAP_ENTRY_BYTES
+                else:
+                    k = kq[y] if t == _OPEN else h[y]
+                    if nh < k:
+                        k = nh
+                kq[y] = k
+                h[y] = nh
+                tag[y] = _OPEN
+                seq += 1
+                live[y] = seq
+                heappush(heap, (k, seq, y))
+                nbytes += HEAP_ENTRY_BYTES
+            if nbytes > peak:
+                peak = nbytes
         self._seq = seq
-        probe.live_bytes = nbytes
-        probe.peak_bytes = nbytes if nbytes > peak else peak
+        probe.live_bytes, probe.peak_bytes = nbytes, peak
+        if initial and tag[stop] != _CLOSED:
+            raise NoPathError(f"no path from {tuple(self.grid.start)} to {tuple(self.grid.goal)}")
 
     def initial_run(self) -> None:
         """Settle costs outward from the goal until the start is closed."""
-        start = self.grid.index(self.grid.start)
         self._insert(self.grid.index(self.grid.goal), 0.0)
-        while True:
-            # the peek also runs after the last expansion, so stale entries
-            # leave the heap (and the byte count) before any later push
-            k = self._kmin()
-            if self._tag[start] == _CLOSED:
-                return
-            if k < 0:
-                raise NoPathError(
-                    f"no path from {tuple(self.grid.start)} to {tuple(self.grid.goal)}"
-                )
-            self._process_state()
+        self._run(self.grid.index(self.grid.start), True)
 
     def set_blocked(self, cell, blocked: bool = True) -> None:
         """Toggle an obstacle; re-queues affected CLOSED cells."""
@@ -223,12 +222,7 @@ class DStarPlanner:
 
     def replan(self, position) -> None:
         """Process until the cost at ``position`` is again provably optimal."""
-        position = self._cell_id(position)
-        while True:
-            k = self._kmin()
-            if k < 0 or k >= self._h[position]:
-                break
-            self._process_state()
+        self._run(self._cell_id(position), False)
 
     def extract_path(self, origin=None) -> list:
         origin = self._cell_id(origin if origin is not None else self.grid.start)
@@ -236,14 +230,19 @@ class DStarPlanner:
         if self._h[origin] == INF:
             raise NoPathError(f"no path from {tuple(coord(origin))} to {tuple(self.grid.goal)}")
         goal = self.grid.index(self.grid.goal)
+        back, flags = self._back, self._flags
+        # the arc to the back-pointer must be usable under ``_arcs``'s rule
+        flanks = {off: (fa, fb) for off, _, fa, fb in self._steps}
         path = [origin]
         cur = origin
         limit = self.grid.width * self.grid.height + 1
         while cur != goal:
-            nxt = self._back[cur]
+            nxt = back[cur]
             if nxt < 0:
                 raise NoPathError(f"broken back-pointer chain at {tuple(coord(cur))}")
-            if dict(self._arcs(cur)).get(nxt, INF) == INF:
+            fa, fb = flanks.get(nxt - cur, (None, None))
+            if (fa is None or flags[cur] or flags[nxt]
+                    or (fa and (flags[cur + fa] or flags[cur + fb]))):
                 raise NoPathError(f"back-pointer chain crosses a blocked arc at {tuple(coord(cur))}")
             cur = nxt
             path.append(cur)

@@ -60,10 +60,15 @@ class GRhsPlanner:
         # drops the lists around the toggled cell.  Not charged: like the
         # flags it is substrate, not search state
         self._nbrs = [None] * size
-        # the open list is ``pqueue``'s lazy heap written out: (key, seq, id)
-        # entries, and ``_live`` maps each queued id to the seq of the entry
-        # that counts, so a re-push supersedes the earlier entry and stale
-        # entries stay in the heap (and in the byte count) until they surface
+        # the open list is ``pqueue``'s lazy heap written out: flat
+        # (k1, k2, seq, id) entries, and ``_live`` maps each queued id to the
+        # seq of the entry that counts, so a re-push supersedes the earlier
+        # entry, which stays in the heap (and in the byte count) until it
+        # surfaces.  ``compute`` pushes a cell only when its g or rhs
+        # changes; ``set_blocked`` re-pushes the cells around a toggle.
+        # Entries with seq > ``_fresh`` were keyed after the last target
+        # move or k_m change, so their keys are current; older ones are
+        # re-keyed when they are popped
         self._heap = []
         self._live = {}
         self._seq = 0
@@ -76,6 +81,7 @@ class GRhsPlanner:
 
     def _aim(self, i: int) -> None:
         self._target = i
+        self._fresh = self._seq
         self._tx, self._ty = i % self._stride, i // self._stride
 
     def _neighbors(self, i) -> list:
@@ -112,13 +118,13 @@ class GRhsPlanner:
         if self._g[s] != self._rhs[s]:
             self._seq += 1
             self._live[s] = self._seq
-            heappush(self._heap, (self._key(s), self._seq, s))
+            heappush(self._heap, (*self._key(s), self._seq, s))
             self.probe.alloc(HEAP_ENTRY_BYTES)
 
     def compute(self) -> None:
         """Expand inconsistent cells until the target is consistent with a minimal key."""
         g, rhs, held, memo, neighbors = self._g, self._rhs, self._held, self._nbrs, self._neighbors
-        heap, live, seq, probe = self._heap, self._live, self._seq, self.probe
+        heap, live, seq, fresh, probe = self._heap, self._live, self._seq, self._fresh, self.probe
         target, root, stride, tx, ty, k_m = (self._target, self._root, self._stride,
                                              self._tx, self._ty, self._k_m)
         # The steps of ``_update_vertex`` (the key, the queue step and the
@@ -132,7 +138,7 @@ class GRhsPlanner:
         tg = trhs = None
         while live:
             while True:  # peek: drop stale entries off the top
-                k_old, sq, u = heap[0]
+                k1, k2, sq, u = heap[0]
                 if live.get(u) == sq:
                     break
                 heappop(heap)
@@ -142,31 +148,31 @@ class GRhsPlanner:
                 tg, trhs = gt, rt
                 t2 = gt if gt < rt else rt
                 t1 = t2 + k_m
-            k1, k2 = k_old
             # k1 values within 1e-9 tie: one ulp of rounding must not end the search
             if not (k1 < t1 - 1e-9 or (k1 <= t1 + 1e-9 and k2 < t2) or rt != gt):
                 break
             heappop(heap)
             nbytes -= HEAP_ENTRY_BYTES
             del live[u]
-            gu, ru = g[u], rhs[u]
-            m = gu if gu < ru else ru
-            k_new = (m + hypot(tx - u % stride, ty - u // stride) + k_m, m)
-            if k_old < k_new:
-                # stale lower bound from before the target moved
-                seq += 1
-                live[u] = seq
-                heappush(heap, (k_new, seq, u))
-                nbytes += HEAP_ENTRY_BYTES
-                if nbytes > peak:
-                    peak = nbytes
-                continue
+            if sq <= fresh:
+                # keyed before the target moved: k2 is current (the cell's g
+                # and rhs have not changed since), k1 may be stale
+                n1 = k2 + hypot(tx - u % stride, ty - u // stride) + k_m
+                if k1 < n1:
+                    seq += 1
+                    live[u] = seq
+                    heappush(heap, (n1, k2, seq, u))
+                    nbytes += HEAP_ENTRY_BYTES
+                    if nbytes > peak:
+                        peak = nbytes
+                    continue
             self.expanded += 1
             probe.live_bytes, probe.peak_bytes = nbytes, peak
             probe.expand(u)
             nbrs = memo[u]
             if nbrs is None:
                 nbrs = neighbors(u)
+            gu, ru = g[u], rhs[u]
             falls = gu > ru
             if falls:
                 # g falls: every rhs already holds its full minimum and u is
@@ -187,19 +193,23 @@ class GRhsPlanner:
                 if ru != INF:
                     seq += 1
                     live[u] = seq
-                    heappush(heap, ((ru + hypot(tx - u % stride, ty - u // stride) + k_m, ru),
+                    heappush(heap, (ru + hypot(tx - u % stride, ty - u // stride) + k_m, ru,
                                     seq, u))
                     nbytes += HEAP_ENTRY_BYTES
+            # a neighbour's queue entry changes only when its rhs does: with
+            # its g and rhs unchanged, its entry (or its absence) stays right
             for n, c in nbrs:
                 if n != root:
                     if not held[n] & _HAS_RHS:
                         held[n] |= _HAS_RHS
                         nbytes += MAP_ENTRY_BYTES
                     v = gu + c
+                    rn = rhs[n]
                     if falls:
-                        if v < rhs[n]:
-                            rhs[n] = v
-                    elif v == rhs[n]:
+                        if v >= rn:
+                            continue
+                        rhs[n] = rn = v
+                    elif v == rn:
                         # n is free (blocked cells are in no neighbour list)
                         best = INF
                         nn = memo[n]
@@ -209,16 +219,21 @@ class GRhsPlanner:
                             v = g[j] + cj
                             if v < best:
                                 best = v
-                        rhs[n] = best
-                live.pop(n, None)
-                gn, rn = g[n], rhs[n]
-                if gn != rn:
-                    m = gn if gn < rn else rn
-                    seq += 1
-                    live[n] = seq
-                    heappush(heap, ((m + hypot(tx - n % stride, ty - n // stride) + k_m, m),
-                                    seq, n))
-                    nbytes += HEAP_ENTRY_BYTES
+                        if best == rn:
+                            continue
+                        rhs[n] = rn = best
+                    else:
+                        continue
+                    gn = g[n]
+                    if gn != rn:
+                        m = gn if gn < rn else rn
+                        seq += 1
+                        live[n] = seq
+                        heappush(heap, (m + hypot(tx - n % stride, ty - n // stride) + k_m, m,
+                                        seq, n))
+                        nbytes += HEAP_ENTRY_BYTES
+                    else:
+                        del live[n]
             if nbytes > peak:
                 peak = nbytes
         self._seq = seq
@@ -232,8 +247,10 @@ class GRhsPlanner:
         i = toggle_cell(self.grid, self._flags, cell, blocked, ends,
                         "path ends must stay traversable")
         stride, last = self._stride, self._last
-        self._k_m += hypot(last % stride - self._tx, last // stride - self._ty)
-        self._last = self._target
+        if last != self._target:
+            self._k_m += hypot(last % stride - self._tx, last // stride - self._ty)
+            self._last = self._target
+            self._fresh = self._seq
         around = cells_around(i, self._flags, stride)
         for j in around:
             self._nbrs[j] = None

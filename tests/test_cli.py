@@ -100,7 +100,7 @@ class TestEvaluate:
         assert [r.split(",")[:8] for r in rows] == [
             ["RTAA*", "-", "-", "-", "12x12", "12.728", "13.899", "11.500"],
             ["ARA*", "-", "-", "-", "12x12", "12.728", "13.899", "21.688"],
-            ["D* Lite", "-", "-", "-", "12x12", "12.728", "13.899", "17.242"],
+            ["D* Lite", "-", "-", "-", "12x12", "12.728", "13.899", "14.406"],
         ]
 
     def test_corner_cutting_flag_changes_reachability(self, corner_sealed_file, capsys):

@@ -25,9 +25,9 @@ WALL_7_21 = {
     A.LRTA_STAR: ("147.68124086713183", 22177, 139584, 123),
     A.RTAA_STAR: ("174.16652224137056", 28468, 118728, 147),
     A.ARA_STAR: ("135.1959594928932", 3473, 330736, 113),
-    A.LPA_STAR: ("135.1959594928932", 1811, 279808, 113),
+    A.LPA_STAR: ("135.1959594928932", 1811, 274528, 113),
     A.D_STAR: ("135.19595949289322", 2049, 280128, 113),
-    A.D_STAR_LITE: ("135.1959594928932", 1790, 278288, 113),
+    A.D_STAR_LITE: ("135.1959594928932", 1790, 272304, 113),
     A.ASTAR_ORACLE: ("135.1959594928932", 1800, 277480, 113),
 }
 
@@ -35,9 +35,9 @@ RANDOM_60 = {
     A.LRTA_STAR: ("61.79898987322332", 2134, 181304, 57),
     A.RTAA_STAR: ("60.38477631085023", 3494, 157976, 56),
     A.ARA_STAR: ("58.38477631085023", 758, 146128, 54),
-    A.LPA_STAR: ("58.38477631085023", 634, 114784, 54),
+    A.LPA_STAR: ("58.38477631085023", 634, 109328, 54),
     A.D_STAR: ("58.38477631085023", 1885, 266752, 54),
-    A.D_STAR_LITE: ("58.384776310850214", 698, 115696, 54),
+    A.D_STAR_LITE: ("58.384776310850214", 698, 111912, 54),
     A.ASTAR_ORACLE: ("58.38477631085023", 631, 116472, 54),
 }
 
