@@ -232,7 +232,7 @@ class GRhsPlanner:
                         heappush(heap, (m + hypot(tx - n % stride, ty - n // stride) + k_m, m,
                                         seq, n))
                         nbytes += HEAP_ENTRY_BYTES
-                    else:
+                    else:  # consistent now, so it was queued under its old rhs
                         del live[n]
             if nbytes > peak:
                 peak = nbytes
