@@ -8,12 +8,20 @@ with ``allow_corner_cutting=True``.
 
 Grids are immutable after construction and safe to share across workers;
 every operation here is a pure function of its arguments.
+
+The movement rule is written once per cell, in ``neighbor_cells``.  The
+solvers do not call it per expansion: each solve builds ``arc_masks``,
+one byte per padded id whose bit d says whether step d is usable, and
+walks ``arc_table(steps)[mask[i]]``, the ``(offset, cost)`` pairs of that
+byte in step order.  A planner that toggles obstacles refreshes the
+bytes around the toggle (``refresh_arc_masks``) through ``neighbor_cells``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import NamedTuple
 
 from .errors import AdjacencyError, GridFormatError, InvalidCellError
@@ -101,6 +109,51 @@ def neighbor_cells(i: int, flags, steps) -> list[tuple[int, float]]:
             continue
         out.append((j, cost))
     return out
+
+
+# flags.translate() table: FREE -> 1, BLOCKED and OUTSIDE -> 0
+_FREE_BYTE = bytes([1]) + bytes(255)
+
+
+def arc_masks(flags, steps) -> bytearray:
+    """One byte per padded id: bit d is set when step d of ``steps`` is usable from it.
+
+    The bulk form of ``neighbor_cells``: for every in-grid id ``i``,
+    ``arc_table(steps)[mask[i]]`` lists the same arcs as
+    ``neighbor_cells(i, flags, steps)``, as ``(offset, cost)``.  All cells
+    are done at once on Python integers holding one byte per id (1 where
+    the cell is free), with one shift and AND per step and per flank.
+    Border ids get arbitrary bits; no solver reads them.
+    """
+    size = len(flags)
+    free = int.from_bytes(flags.translate(_FREE_BYTE), "little")
+    # byte i of at[off] is 1 when id i + off is free
+    at = {off: free >> 8 * off if off > 0 else free << -8 * off for off, _, _, _ in steps}
+    masks = 0
+    for d, (off, _, fa, fb) in enumerate(steps):
+        arc = at[off]
+        if fa:
+            arc &= at[fa] & at[fb]
+        masks |= arc << d
+    return bytearray((masks & ((1 << 8 * size) - 1)).to_bytes(size, "little"))
+
+
+def refresh_arc_masks(mask, cells, flags, steps) -> None:
+    """Recompute the ``arc_masks`` bytes of ``cells`` in place, through ``neighbor_cells``.
+
+    A toggle of cell ``i`` changes the bytes of exactly the cells around
+    ``i``: a byte reads the flags of its cell's 8 neighbours, never its own.
+    """
+    bit = {off: 1 << d for d, (off, _, _, _) in enumerate(steps)}
+    for i in cells:
+        mask[i] = sum(bit[j - i] for j, _ in neighbor_cells(i, flags, steps))
+
+
+@lru_cache(maxsize=64)
+def arc_table(steps) -> tuple:
+    """For each of the 256 masks of ``arc_masks``, its ``(offset, cost)`` arcs in step order."""
+    return tuple(tuple((off, cost) for d, (off, cost, _, _) in enumerate(steps) if m >> d & 1)
+                 for m in range(256))
 
 
 @dataclass(frozen=True)

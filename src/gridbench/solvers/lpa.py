@@ -9,7 +9,9 @@ is the greedy descent along g from the target to the root.  On a static
 grid that is A* from the root; after an obstacle change, ``set_blocked``
 re-queues only the affected cells.  LPA* roots the search at the start
 and aims at the goal (k_m stays 0); D* Lite (``dstar_lite``) roots it at
-the goal and aims at the moving agent.
+the goal and aims at the moving agent.  Each planner walks its cells'
+usable arcs through ``grid.arc_masks`` of its own flag copy, and
+``set_blocked`` refreshes the masks of the cells around a toggle.
 """
 
 from __future__ import annotations
@@ -18,7 +20,8 @@ from heapq import heappop, heappush
 from math import hypot
 
 from ..errors import NoPathError
-from ..grid import neighbor_cells
+from ..grid import arc_masks, arc_table, refresh_arc_masks
+from ..grid import neighbor_cells  # noqa: F401  (perfbench's tracer patches this name)
 from ..instrumentation import HEAP_ENTRY_BYTES, MAP_ENTRY_BYTES, AllocationProbe
 from .common import (
     INF,
@@ -56,10 +59,11 @@ class GRhsPlanner:
         self._g = [INF] * size
         self._rhs = [INF] * size
         self._held = bytearray(size)
-        # each cell's neighbour list, built on first use; ``set_blocked``
-        # drops the lists around the toggled cell.  Not charged: like the
-        # flags it is substrate, not search state
-        self._nbrs = [None] * size
+        # each cell's usable arcs (``grid.arc_masks``) over the planner's own
+        # flags; ``set_blocked`` refreshes the cells around a toggle.  Not
+        # charged: like the flags it is substrate, not search state
+        self._mask = arc_masks(self._flags, self._steps)
+        self._table = arc_table(self._steps)
         # the open list is ``pqueue``'s lazy heap written out: flat
         # (k1, k2, seq, id) entries, and ``_live`` maps each queued id to the
         # seq of the entry that counts, so a re-push supersedes the earlier
@@ -84,12 +88,6 @@ class GRhsPlanner:
         self._fresh = self._seq
         self._tx, self._ty = i % self._stride, i // self._stride
 
-    def _neighbors(self, i) -> list:
-        nbrs = self._nbrs[i]
-        if nbrs is None:
-            nbrs = self._nbrs[i] = neighbor_cells(i, self._flags, self._steps)
-        return nbrs
-
     def _set_rhs(self, s, v: float) -> None:
         if not self._held[s] & _HAS_RHS:
             self._held[s] |= _HAS_RHS
@@ -109,8 +107,8 @@ class GRhsPlanner:
             rhs = INF
             if not self._flags[s]:
                 g = self._g
-                for n, c in self._neighbors(s):
-                    v = g[n] + c
+                for off, c in self._table[self._mask[s]]:
+                    v = g[s + off] + c
                     if v < rhs:
                         rhs = v
             self._set_rhs(s, rhs)
@@ -123,7 +121,7 @@ class GRhsPlanner:
 
     def compute(self) -> None:
         """Expand inconsistent cells until the target is consistent with a minimal key."""
-        g, rhs, held, memo, neighbors = self._g, self._rhs, self._held, self._nbrs, self._neighbors
+        g, rhs, held, mask, table = self._g, self._rhs, self._held, self._mask, self._table
         heap, live, seq, fresh, probe = self._heap, self._live, self._seq, self._fresh, self.probe
         target, root, stride, tx, ty, k_m = (self._target, self._root, self._stride,
                                              self._tx, self._ty, self._k_m)
@@ -169,9 +167,6 @@ class GRhsPlanner:
             self.expanded += 1
             probe.live_bytes, probe.peak_bytes = nbytes, peak
             probe.expand(u)
-            nbrs = memo[u]
-            if nbrs is None:
-                nbrs = neighbors(u)
             gu, ru = g[u], rhs[u]
             falls = gu > ru
             if falls:
@@ -198,7 +193,8 @@ class GRhsPlanner:
                     nbytes += HEAP_ENTRY_BYTES
             # a neighbour's queue entry changes only when its rhs does: with
             # its g and rhs unchanged, its entry (or its absence) stays right
-            for n, c in nbrs:
+            for off, c in table[mask[u]]:
+                n = u + off
                 if n != root:
                     if not held[n] & _HAS_RHS:
                         held[n] |= _HAS_RHS
@@ -210,13 +206,10 @@ class GRhsPlanner:
                             continue
                         rhs[n] = rn = v
                     elif v == rn:
-                        # n is free (blocked cells are in no neighbour list)
+                        # n is free (no usable arc leads to a blocked cell)
                         best = INF
-                        nn = memo[n]
-                        if nn is None:
-                            nn = neighbors(n)
-                        for j, cj in nn:
-                            v = g[j] + cj
+                        for oj, cj in table[mask[n]]:
+                            v = g[n + oj] + cj
                             if v < best:
                                 best = v
                         if best == rn:
@@ -252,8 +245,7 @@ class GRhsPlanner:
             self._last = self._target
             self._fresh = self._seq
         around = cells_around(i, self._flags, stride)
-        for j in around:
-            self._nbrs[j] = None
+        refresh_arc_masks(self._mask, around, self._flags, self._steps)
         self._update_vertex(i)
         for j in around:
             self._update_vertex(j)
@@ -261,7 +253,8 @@ class GRhsPlanner:
     def _best_step(self, i):
         """The neighbour of ``i`` with the least step cost + g, and that sum."""
         best, best_val = None, INF
-        for n, c in self._neighbors(i):
+        for off, c in self._table[self._mask[i]]:
+            n = i + off
             v = c + self._g[n]
             if v < best_val:
                 best, best_val = n, v

@@ -24,6 +24,8 @@ Value stores follow the canonical real-time-search implementation: dense
 per-cell arrays (h, g, search tree, generation counters) allocated for
 the whole grid once per solve and reset per episode by counter, so the
 live footprint scales with the grid area rather than the touched region.
+The lookahead and the backup walk each cell's usable arcs through
+``grid.arc_masks``, built once per solve and not charged.
 """
 
 from __future__ import annotations
@@ -31,9 +33,8 @@ from __future__ import annotations
 from heapq import heapify, heappop, heappush
 from math import hypot
 
-from .. import grid as gridmod
 from ..errors import InvalidCellError, NoPathError
-from ..grid import SQRT2, step_cost
+from ..grid import SQRT2, arc_masks, arc_table, step_cost
 from ..instrumentation import (
     ARRAY_SLOT_BYTES,
     HEAP_ENTRY_BYTES,
@@ -70,9 +71,10 @@ class RealTimeAgent:
         self._gen = [0] * size
         self._exp = [0] * size
         probe.alloc(_N_ARRAYS * self._ncells * ARRAY_SLOT_BYTES)
-        # each cell's neighbour list, built on first use and kept for this
-        # solve; not charged: like the flags it is substrate, not search state
-        self._nbrs = [None] * size
+        # each cell's usable arcs (``grid.arc_masks``), built once per solve;
+        # not charged: like the flags it is substrate, not search state
+        self._mask = arc_masks(grid.flags, grid.steps)
+        self._table = arc_table(grid.steps)
         self._arrays_live = True
         self._episode = 0
         self._pos = grid.index(grid.start)
@@ -119,13 +121,6 @@ class RealTimeAgent:
             h = self._h[i] = hypot(i % s - self._gx, i // s - self._gy)
         return h
 
-    def _neighbors(self, i: int) -> list:
-        nbrs = self._nbrs[i]
-        if nbrs is None:
-            # looked up on each miss, not at import, so a patched gridbench.grid is seen
-            nbrs = self._nbrs[i] = gridmod.neighbor_cells(i, self.grid.flags, self.grid.steps)
-        return nbrs
-
     def _release_arrays(self) -> None:
         if self._arrays_live:
             self.probe.free(_N_ARRAYS * self._ncells * ARRAY_SLOT_BYTES)
@@ -136,7 +131,7 @@ class RealTimeAgent:
         if self.done:
             return True
         grid, probe = self.grid, self.probe
-        neighbors, memo = self._neighbors, self._nbrs
+        mask, table = self._mask, self._table
         h_arr, g_arr, tree, gen, exp = self._h, self._g, self._tree, self._gen, self._exp
         stride, gx, gy = self._stride, self._gx, self._gy
         high_g = self.params.tie_break is TieBreak.HIGH_G
@@ -178,10 +173,8 @@ class RealTimeAgent:
             closed.append(si)
             nbytes += ARRAY_SLOT_BYTES  # closed stack slot
             gs = g_arr[si]
-            nbrs = memo[si]
-            if nbrs is None:
-                nbrs = neighbors(si)
-            for ni, c in nbrs:
+            for off, c in table[mask[si]]:
+                ni = si + off
                 ng = gs + c
                 if gen[ni] != eid or ng < g_arr[ni]:
                     g_arr[ni] = ng
@@ -275,7 +268,7 @@ class RealTimeAgent:
         cell's least value, as it would be if every relaxation were pushed,
         so pushing improvements alone changes only the queue's size.
         """
-        probe, neighbors, memo = self.probe, self._neighbors, self._nbrs
+        probe, mask, table = self.probe, self._mask, self._table
         h_arr, dist, exp = self._h, self._g, self._exp
         for si in closed:
             dist[si] = INF
@@ -298,10 +291,8 @@ class RealTimeAgent:
             exp[si] = -eid
             settled += 1
             nbytes += SET_ENTRY_BYTES
-            nbrs = memo[si]
-            if nbrs is None:
-                nbrs = neighbors(si)
-            for ni, c in nbrs:
+            for off, c in table[mask[si]]:
+                ni = si + off
                 if exp[ni] == eid:
                     nd = d + c
                     if nd < dist[ni]:

@@ -1,7 +1,8 @@
 import math
+import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gridbench import (
     AdjacencyError,
@@ -14,7 +15,7 @@ from gridbench import (
     parse_grid,
     step_cost,
 )
-from gridbench.grid import BLOCKED, FREE, neighbor_cells
+from gridbench.grid import BLOCKED, FREE, arc_masks, arc_table, neighbor_cells
 from helpers import dijkstra_from, grid_neighbors, reference_neighbors
 
 SQRT2 = math.sqrt(2)
@@ -143,21 +144,53 @@ class TestNeighborTableEquivalence:
                 blocked.add(c)
                 flags[g.index(c)] = BLOCKED
 
-        def is_free(x, y):
-            return (x, y) not in blocked
+        _assert_arcs_match_reference(g, flags, blocked)
 
-        # every cell, blocked ones too: incremental planners expand blocked cells
-        for y in range(g.height):
-            for x in range(g.width):
-                got = [(g.coord(j), c) for j, c in neighbor_cells(g.index((x, y)), flags, g.steps)]
-                assert got == reference_neighbors((x, y), g.width, g.height, is_free,
-                                                  g.allow_corner_cutting)
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 12), st.integers(1, 12), st.sampled_from([0.0, 0.15, 0.3, 0.45, 0.6]),
+           st.booleans(), st.integers(0, 10 ** 6))
+    # one row and one column: every diagonal leaves the grid
+    @example(1, 9, 0.3, False, 0)
+    @example(9, 1, 0.3, True, 1)
+    @example(1, 1, 0.0, False, 2)
+    def test_arc_masks_match_reference(self, w, h, density, corner_cutting, seed):
+        rng = random.Random(seed)
+        cells = [(x, y) for y in range(h) for x in range(w)]
+        blocked = {c for c in cells[1:] if rng.random() < density}
+        g = Grid(w, h, frozenset(blocked), cells[0], cells[0], corner_cutting)
+        _assert_arcs_match_reference(g, g.flags, blocked)
+
+    def test_arc_table_lists_steps_in_order(self):
+        steps = empty_grid(5, 5).steps
+        table = arc_table(steps)
+        assert table is arc_table(steps)
+        assert len(table) == 256 and table[0] == ()
+        assert table[255] == tuple((off, cost) for off, cost, _, _ in steps)
+        assert table[0b101] == ((steps[0][0], steps[0][1]), (steps[2][0], steps[2][1]))
 
     def test_index_round_trip(self):
         g = empty_grid(5, 3)
         ids = [g.index((x, y)) for y in range(3) for x in range(5)]
         assert ids == sorted(set(ids))
         assert [g.coord(i) for i in ids] == [(x, y) for y in range(3) for x in range(5)]
+
+
+def _assert_arcs_match_reference(g, flags, blocked):
+    """At every in-grid id: ``arc_masks`` == ``neighbor_cells`` == the coordinate loop."""
+    masks, table = arc_masks(flags, g.steps), arc_table(g.steps)
+    assert len(masks) == len(flags)
+
+    def is_free(x, y):
+        return (x, y) not in blocked
+
+    # every cell, blocked ones too: incremental planners expand blocked cells
+    for y in range(g.height):
+        for x in range(g.width):
+            i = g.index((x, y))
+            cells = neighbor_cells(i, flags, g.steps)
+            assert [(i + off, c) for off, c in table[masks[i]]] == cells
+            assert [(g.coord(j), c) for j, c in cells] == reference_neighbors(
+                (x, y), g.width, g.height, is_free, g.allow_corner_cutting)
 
 
 class TestHeuristic:

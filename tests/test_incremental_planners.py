@@ -26,7 +26,7 @@ from gridbench import (
     generate_random_grid,
     path_cost_of,
 )
-from gridbench.grid import SQRT2
+from gridbench.grid import OUTSIDE, SQRT2, arc_masks
 from gridbench.instrumentation import HEAP_ENTRY_BYTES, MAP_ENTRY_BYTES, RECORD_ENTRY_BYTES
 from gridbench.solvers.dstar import _CLOSED, _NEW, _OPEN
 
@@ -180,6 +180,27 @@ def test_repairs_match_oracle(make, n, density, seed, corner_cutting, ops):
 def _assert_open_list(planner, grid=None, blocked=None):
     _assert_live_bytes(planner)
     _assert_queue_exact(planner)
+    _assert_masks_exact(planner)
+
+
+def _assert_masks_exact(planner):
+    """The planner's arc masks are those of its current flags.
+
+    Every planner refreshes the masks around each toggle, so every in-grid
+    cell's mask must be current.  D* also marks a toggle's 3x3 block dirty
+    (those cells walk ``_arcs``, which lists unusable arcs at INF): every
+    cell whose flag differs from the grid's must have its block marked.
+    """
+    p = planner.p
+    fresh = arc_masks(p._flags, p._steps)
+    in_grid = [s for s, f in enumerate(p._flags) if f != OUTSIDE]
+    assert [s for s in in_grid if p._mask[s] != fresh[s]] == []
+    if isinstance(p, DStarPlanner):
+        stride = p.grid.width + 2
+        block = [dy * stride + dx for dy in (-1, 0, 1) for dx in (-1, 0, 1)]
+        toggled = [s for s in in_grid if p._flags[s] != p.grid.flags[s]]
+        assert [s for s in toggled
+                if not all(p._dirty[s + d] for d in block if p._flags[s + d] != OUTSIDE)] == []
 
 
 def _assert_live_bytes(planner, grid=None, blocked=None):
