@@ -6,12 +6,12 @@ how lazy deletion actually spends memory.  Keys are tuples; a monotone
 sequence number breaks exact key ties, so pops are fully deterministic and
 payload items are never compared.
 
-A* and ARA* use this class.  The incremental planners (``solvers.dstar``,
-``solvers.lpa``) and the real-time agents write the same heap out inline
-in their search loops, with flat key tuples and the same stale-entry
-frees.  A re-push there still supersedes the earlier entry, but the g/rhs
-core (``solvers.lpa``) re-pushes a cell only when its rhs or g changed,
-and LRTA*'s backup only when a value improved.
+No solver uses this class any more: every solver keeps its open list
+inline in its search loop, as a heap of flat key tuples with a map from
+each queued id to the seq of the entry that counts and the same
+stale-entry frees.  The file stays only because ``perfbench/tracing.py``
+imports the class, patches its methods and times it; it can go with the
+next change to the benchmark's definition.
 """
 
 from __future__ import annotations

@@ -116,24 +116,9 @@ class SearchOutcome:
     solve_time_ms: float
 
 
-def tie_term(g: float, tie_break: TieBreak) -> float:
-    return -g if tie_break is TieBreak.HIGH_G else g
-
-
 def path_cost_of(path) -> float:
     """Sum of step costs along a chain of 8-neighbor moves."""
     return sum((step_cost(path[i], path[i + 1]) for i in range(len(path) - 1)), 0.0)
-
-
-def reconstruct(parents, end, origin) -> list:
-    """Chain from origin to end following a child -> parent map."""
-    out = [end]
-    cur = end
-    while cur != origin:
-        cur = parents[cur]
-        out.append(cur)
-    out.reverse()
-    return out
 
 
 def toggle_cell(grid, flags, cell, blocked: bool, fixed, why: str) -> int:

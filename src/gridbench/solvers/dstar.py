@@ -15,7 +15,7 @@ store is kept; its footprint is part of what the benchmarks measure.
 The store is four dense arrays indexed by padded id (tag, h, k,
 back-pointer), but the probe charges one record per cell that has left
 NEW, as a hashed store of only the touched cells would hold.  The open
-list is ``pqueue``'s lazy heap written out: ``_heap`` holds (key, seq,
+list is a binary heap with lazy deletion: ``_heap`` holds (key, seq,
 id) entries and ``_live`` maps each queued id to the seq of the entry
 that counts, so a re-push supersedes the earlier entry and stale entries
 stay in the heap (and in the byte count) until they surface.  A cell

@@ -64,7 +64,7 @@ class GRhsPlanner:
         # charged: like the flags it is substrate, not search state
         self._mask = arc_masks(self._flags, self._steps)
         self._table = arc_table(self._steps)
-        # the open list is ``pqueue``'s lazy heap written out: flat
+        # the open list is a binary heap with lazy deletion: flat
         # (k1, k2, seq, id) entries, and ``_live`` maps each queued id to the
         # seq of the entry that counts, so a re-push supersedes the earlier
         # entry, which stays in the heap (and in the byte count) until it

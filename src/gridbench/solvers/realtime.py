@@ -142,11 +142,11 @@ class RealTimeAgent:
         g_arr[oi] = 0.0
         gen[oi] = eid
         tree[oi] = -1
-        # The open list is LazyHeap's, inlined: entries (f, tie, seq, id),
-        # and ``live`` maps each id to the seq of the entry that counts, so
-        # a re-push supersedes the earlier entry.  The probe's bytes are
-        # kept in locals (see ``instrumentation``) and written back before
-        # each probe call
+        # The open list is a binary heap with lazy deletion: entries
+        # (f, tie, seq, id), and ``live`` maps each id to the seq of the
+        # entry that counts, so a re-push supersedes the earlier entry.  The
+        # probe's bytes are kept in locals (see ``instrumentation``) and
+        # written back before each probe call
         heap = [(self._h_at(oi), 0.0, 1, oi)]
         live = {oi: 1}
         seq = 1

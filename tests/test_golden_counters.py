@@ -16,7 +16,7 @@ from gridbench import (
     generate_wall_grid,
     solve,
 )
-from gridbench.solvers import SolverParams, TieBreak
+from gridbench.solvers import SolverParams, TieBreak, ara_star_iterates
 
 A = AlgorithmId
 
@@ -50,16 +50,18 @@ INSTANCES = {
     ),
 }
 
-# The real-time agents under non-default parameters: variant ->
-# (SolverParams, allow_corner_cutting), and (instance, variant, algorithm)
-# -> the same tuple as above
+# The real-time agents, A* and ARA* under non-default parameters: variant
+# -> (SolverParams, allow_corner_cutting), and (instance, variant,
+# algorithm) -> the same tuple as above
 VARIANTS = {
     "lookahead_1": (SolverParams(lookahead=1), False),
     "lookahead_7_low_g": (SolverParams(lookahead=7, tie_break=TieBreak.LOW_G), False),
     "corner_cutting": (SolverParams(), True),
+    "low_g": (SolverParams(tie_break=TieBreak.LOW_G), False),
+    "ara_w3_d1": (SolverParams(ara_initial_weight=3.0, ara_weight_decrement=1.0), False),
 }
 
-REALTIME_VARIANTS = {
+VARIANT_COUNTERS = {
     ("wall_7_21", "lookahead_1", A.LRTA_STAR): ("1589.1686142824262", 1491, 89552, 1492),
     ("wall_7_21", "lookahead_1", A.RTAA_STAR): ("1589.1686142824262", 1491, 88752, 1492),
     ("wall_7_21", "lookahead_7_low_g", A.LRTA_STAR): ("721.0853531617402", 4442, 93776, 638),
@@ -72,6 +74,22 @@ REALTIME_VARIANTS = {
     ("random_60", "lookahead_7_low_g", A.RTAA_STAR): ("74.0416305603426", 448, 145352, 68),
     ("random_60", "corner_cutting", A.LRTA_STAR): ("48.284271247461895", 486, 171600, 41),
     ("random_60", "corner_cutting", A.RTAA_STAR): ("48.284271247461895", 998, 162808, 41),
+    ("wall_7_21", "low_g", A.ASTAR_ORACLE): ("135.1959594928932", 1806, 277184, 113),
+    ("wall_7_21", "low_g", A.ARA_STAR): ("135.1959594928932", 3479, 330728, 113),
+    ("wall_7_21", "corner_cutting", A.ASTAR_ORACLE): ("128.16652224137033", 1776, 272944, 101),
+    ("wall_7_21", "corner_cutting", A.ARA_STAR): ("128.16652224137033", 2796, 319744, 101),
+    ("wall_7_21", "ara_w3_d1", A.ARA_STAR): ("135.1959594928932", 2678, 365624, 113),
+    ("random_60", "low_g", A.ASTAR_ORACLE): ("58.38477631085023", 634, 116760, 54),
+    ("random_60", "low_g", A.ARA_STAR): ("58.38477631085023", 760, 146512, 54),
+    ("random_60", "corner_cutting", A.ASTAR_ORACLE): ("45.4558441227157", 288, 64288, 39),
+    ("random_60", "corner_cutting", A.ARA_STAR): ("45.4558441227157", 288, 76640, 39),
+    ("random_60", "ara_w3_d1", A.ARA_STAR): ("58.38477631085023", 751, 155760, 54),
+}
+
+# instance -> ara_star_iterates under the "ara_w3_d1" schedule
+ARA_W3_D1_ITERATES = {
+    "wall_7_21": [(3.0, 140.36753236814704), (2.0, 140.36753236814704), (1.0, 135.1959594928932)],
+    "random_60": [(3.0, 68.38477631085021), (2.0, 68.38477631085021), (1.0, 58.38477631085023)],
 }
 
 
@@ -88,7 +106,7 @@ def test_golden_counters(grids, instance, algo):
     assert got == INSTANCES[instance][1][algo]
 
 
-@pytest.mark.parametrize("key", list(REALTIME_VARIANTS),
+@pytest.mark.parametrize("key", list(VARIANT_COUNTERS),
                          ids=lambda k: f"{k[0]}-{k[1]}-{k[2].value}")
 def test_realtime_counters_under_parameters(grids, key):
     instance, variant, algo = key
@@ -96,4 +114,10 @@ def test_realtime_counters_under_parameters(grids, key):
     grid = INSTANCES[instance][0](True) if corner_cutting else grids[instance]
     out = solve(grid, algo, params)
     got = (repr(out.path_cost), out.expanded, out.peak_memory_bytes, len(out.path))
-    assert got == REALTIME_VARIANTS[key]
+    assert got == VARIANT_COUNTERS[key]
+
+
+@pytest.mark.parametrize("instance", sorted(ARA_W3_D1_ITERATES))
+def test_ara_iterates_under_schedule(grids, instance):
+    params, _ = VARIANTS["ara_w3_d1"]
+    assert ara_star_iterates(grids[instance], params) == ARA_W3_D1_ITERATES[instance]

@@ -14,6 +14,7 @@ from gridbench import (
     generate_random_grid,
     solve,
 )
+from gridbench.instrumentation import AllocationProbe
 from gridbench.solvers import DStarLitePlanner, DStarPlanner, LpaStarPlanner, SolverParams, TieBreak
 from helpers import assert_valid_path, bellman_ford_cost
 
@@ -31,6 +32,19 @@ ALL_ALGOS = tuple(AlgorithmId)
 
 def empty_grid(w, h, start=(0, 0), goal=None):
     return Grid(w, h, frozenset(), start, goal or (w - 1, h - 1))
+
+
+# algorithm -> (expansions, live_bytes, peak_bytes) after the NoPathError
+# on enclosed_goal_grid()
+NO_PATH_PROBE = {
+    AlgorithmId.LRTA_STAR: (27, 0, 2432),
+    AlgorithmId.RTAA_STAR: (27, 0, 2432),
+    AlgorithmId.ARA_STAR: (27, 5112, 5448),
+    AlgorithmId.LPA_STAR: (27, 3888, 3952),
+    AlgorithmId.D_STAR: (1, 136, 224),
+    AlgorithmId.D_STAR_LITE: (1, 144, 160),
+    AlgorithmId.ASTAR_ORACLE: (27, 3816, 4024),
+}
 
 
 def enclosed_goal_grid():
@@ -92,8 +106,12 @@ class TestSolveContract:
 
     @pytest.mark.parametrize("algo", ALL_ALGOS, ids=lambda a: a.value)
     def test_no_path_raised_by_every_solver(self, algo):
+        probe = AllocationProbe()
         with pytest.raises(NoPathError):
-            solve(enclosed_goal_grid(), algo)
+            solve(enclosed_goal_grid(), algo, probe=probe)
+        # the probe's readings at the raise: a solver that keeps its byte
+        # counts in locals must have written them back first
+        assert (probe.expansions, probe.live_bytes, probe.peak_bytes) == NO_PATH_PROBE[algo]
 
     @pytest.mark.parametrize("algo", ALL_ALGOS, ids=lambda a: a.value)
     def test_deterministic_path_and_expansions(self, algo):
