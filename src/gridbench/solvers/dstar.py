@@ -8,23 +8,31 @@ states that first try to reroute through a settled neighbor, entries with
 k == h are LOWER states that propagate improvements to their neighbors.
 On an arc-cost change (an obstacle toggled), affected CLOSED cells
 re-enter the open list and processing resumes until the robot's cell is
-again provably optimal.  ``initial_run`` and ``replan`` drive the same
-search loop (``_run``) with different stop rules.  On a static grid the
-initial run is a plain backward uniform-cost sweep.  The whole record
-store is kept; its footprint is part of what the benchmarks measure.
-The store is four dense arrays indexed by padded id (tag, h, k,
-back-pointer), but the probe charges one record per cell that has left
-NEW, as a hashed store of only the touched cells would hold.  The open
-list is a binary heap with lazy deletion: ``_heap`` holds (key, seq,
-id) entries and ``_live`` maps each queued id to the seq of the entry
-that counts, so a re-push supersedes the earlier entry and stale entries
-stay in the heap (and in the byte count) until they surface.  A cell
-walks its usable arcs through ``grid.arc_masks``, built once per planner
-and refreshed around each toggle; the cells in the 3x3 block of a toggle
-are marked dirty and walk ``_arcs`` instead, which also lists their
-unusable arcs, at cost INF.
-"""
+again provably optimal.
 
+``initial_run`` is a backward uniform-cost sweep with its own loop, and
+``replan`` drives the RAISE/LOWER loop (``_run``).  The sweep is exact
+because h only falls during a first search, so every queued cell has
+k == h.  Hence no RAISE state occurs, and a LOWER expansion improves a
+neighbor only where its h exceeds the new cost: a back-pointer child's h
+came from an h of its parent that was no lower.  Toggles made before the
+run only add INF arcs, which no back-pointer crosses yet, so dirty cells
+walk their masks in the sweep too.
+
+The whole record store is kept; its footprint is part of what the
+benchmarks measure.  The store is four dense arrays indexed by padded id
+(tag, h, k, back-pointer), but the probe charges one record per cell that
+has left NEW, as a hashed store of only the touched cells would hold.
+The open list is a binary heap with lazy deletion: ``_heap`` holds (key,
+seq, id) entries and ``_live``, one slot per padded id, holds the seq of
+the entry that counts for each queued id (0: not queued), so a re-push
+supersedes the earlier entry and stale entries stay in the heap (and in
+the byte count) until they surface.  A cell walks its usable arcs through
+``grid.arc_masks``, built once per planner and refreshed around each
+toggle; the cells in the 3x3 block of a toggle are marked dirty and, in
+``_run``, walk ``_arcs`` instead, which also lists their unusable arcs, at
+cost INF.
+"""
 from __future__ import annotations
 
 from heapq import heappop, heappush
@@ -68,7 +76,7 @@ class DStarPlanner:
         self._k = [INF] * size
         self._back = [-1] * size  # -1: no back-pointer
         self._heap = []
-        self._live = {}  # queued id -> seq of its current entry
+        self._live = [0] * size  # seq of each queued id's current entry, 0 if none
         self._seq = 0
         self.expanded = 0
 
@@ -104,12 +112,11 @@ class DStarPlanner:
         heappush(self._heap, (k, self._seq, s))
         self.probe.alloc(HEAP_ENTRY_BYTES)
 
-    def _run(self, stop: int, initial: bool) -> None:
+    def _run(self, stop: int) -> None:
         """Expand the least-keyed OPEN cell until the search can stop at cell ``stop``.
 
-        The initial run stops once ``stop`` is CLOSED and raises NoPathError
-        if the open list empties first; a replan stops when the least key is
-        no less than h(stop), or the open list is empty.
+        A replan stops when the least key is no less than h(stop), or the
+        open list is empty.
         """
         heap, live, tag, h, kq, back = (self._heap, self._live, self._tag, self._h, self._k,
                                         self._back)
@@ -125,15 +132,15 @@ class DStarPlanner:
             # before any later push
             while heap:
                 k_old, sq, x = heap[0]
-                if live.get(x) == sq:
+                if live[x] == sq:
                     break
                 heappop(heap)
                 nbytes -= HEAP_ENTRY_BYTES
-            if not heap or (tag[stop] == _CLOSED if initial else k_old >= h[stop]):
+            if not heap or k_old >= h[stop]:
                 break
             heappop(heap)
             nbytes -= HEAP_ENTRY_BYTES
-            del live[x]
+            live[x] = 0
             tag[x] = _CLOSED
             self.expanded += 1
             probe.live_bytes, probe.peak_bytes = nbytes, peak
@@ -170,9 +177,8 @@ class DStarPlanner:
                     seq, nbytes, peak = self._seq, probe.live_bytes, probe.peak_bytes
                     continue
             # LOWER: propagate the settled cost to neighbors; a cell without a
-            # record (h = INF, back = -1) gets one when nh is finite.  Every
-            # expansion of a static run lands here, so the steps of
-            # ``_insert`` are inlined
+            # record (h = INF, back = -1) gets one when nh is finite.  The
+            # steps of ``_insert`` are inlined
             for off, c in arcs:
                 y = x + off
                 nh = rh + c
@@ -202,13 +208,62 @@ class DStarPlanner:
                 peak = nbytes
         self._seq = seq
         probe.live_bytes, probe.peak_bytes = nbytes, peak
-        if initial and tag[stop] != _CLOSED:
-            raise NoPathError(f"no path from {tuple(self.grid.start)} to {tuple(self.grid.goal)}")
 
     def initial_run(self) -> None:
-        """Settle costs outward from the goal until the start is closed."""
+        """Settle costs outward from the goal until the start is closed.
+
+        A backward uniform-cost sweep (see the module docstring for why it
+        is exact); raises NoPathError if the open list empties first.  It
+        needs a fresh planner, whose queued cells all have k == h.
+        """
+        if self.expanded:
+            raise RuntimeError("initial_run needs a fresh planner; use replan to repair")
         self._insert(self.grid.index(self.grid.goal), 0.0)
-        self._run(self.grid.index(self.grid.start), True)
+        stop = self.grid.index(self.grid.start)
+        heap, live, tag, h, kq, back = (self._heap, self._live, self._tag, self._h, self._k,
+                                        self._back)
+        mask, table, probe, seq = self._mask, self._table, self.probe, self._seq
+        # the probe's bytes stay in locals as in ``_run``
+        nbytes, peak = probe.live_bytes, probe.peak_bytes
+        expanded = 0
+        while heap:
+            rh, sq, x = heappop(heap)
+            nbytes -= HEAP_ENTRY_BYTES
+            if live[x] != sq:
+                continue
+            live[x] = 0
+            tag[x] = _CLOSED
+            expanded += 1
+            probe.live_bytes, probe.peak_bytes = nbytes, peak
+            probe.expand(x)
+            # every expansion is LOWER with k == h: the steps of ``_insert``
+            # are inlined and reduce to k = h = nh
+            for off, c in table[mask[x]]:
+                y = x + off
+                nh = rh + c
+                if h[y] > nh:
+                    if tag[y] == _NEW:
+                        nbytes += RECORD_ENTRY_BYTES
+                    back[y] = x
+                    kq[y] = h[y] = nh
+                    tag[y] = _OPEN
+                    seq += 1
+                    live[y] = seq
+                    heappush(heap, (nh, seq, y))
+                    nbytes += HEAP_ENTRY_BYTES
+            if nbytes > peak:
+                peak = nbytes
+            if x == stop:
+                # drop the stale entries off the top, so they leave the heap
+                # (and the byte count) before any later push
+                while heap and live[heap[0][2]] != heap[0][1]:
+                    heappop(heap)
+                    nbytes -= HEAP_ENTRY_BYTES
+                break
+        self._seq, self.expanded = seq, expanded
+        probe.live_bytes, probe.peak_bytes = nbytes, peak
+        if tag[stop] != _CLOSED:
+            raise NoPathError(f"no path from {tuple(self.grid.start)} to {tuple(self.grid.goal)}")
 
     def set_blocked(self, cell, blocked: bool = True) -> None:
         """Toggle an obstacle; re-queues affected CLOSED cells."""
@@ -229,7 +284,7 @@ class DStarPlanner:
 
     def replan(self, position) -> None:
         """Process until the cost at ``position`` is again provably optimal."""
-        self._run(self._cell_id(position), False)
+        self._run(self._cell_id(position))
 
     def extract_path(self, origin=None) -> list:
         origin = self._cell_id(origin if origin is not None else self.grid.start)

@@ -7,6 +7,7 @@ what the A* oracle finds on that grid from the agent's cell, and the
 planner must report NoPathError exactly when the oracle does.
 """
 
+import hashlib
 import heapq
 import math
 import random
@@ -22,8 +23,10 @@ from gridbench import (
     LpaStarPlanner,
     NoPathError,
     RandomGridSpec,
+    WallGridSpec,
     astar_oracle,
     generate_random_grid,
+    generate_wall_grid,
     path_cost_of,
 )
 from gridbench.grid import OUTSIDE, SQRT2, arc_masks
@@ -217,6 +220,17 @@ def _assert_live_bytes(planner, grid=None, blocked=None):
     assert p.probe.live_bytes == held + HEAP_ENTRY_BYTES * len(p._heap)
 
 
+def _live_index(p):
+    """The open list's index as ``{queued id: seq of its current entry}``.
+
+    D* keeps it as a dense per-cell list of seqs (0: not queued), LPA* and
+    D* Lite as a dict.
+    """
+    if isinstance(p, DStarPlanner):
+        return {s: seq for s, seq in enumerate(p._live) if seq}
+    return p._live
+
+
 def _assert_queue_exact(planner):
     """Exactly the cells that need expanding are queued, each under a sound key.
 
@@ -229,8 +243,9 @@ def _assert_queue_exact(planner):
     its ``_k``.
     """
     p = planner.p
-    live = {e[-1]: e for e in p._heap if p._live.get(e[-1]) == e[-2]}
-    assert live.keys() == p._live.keys()
+    index = _live_index(p)
+    live = {e[-1]: e for e in p._heap if index.get(e[-1]) == e[-2]}
+    assert live.keys() == index.keys()
     if isinstance(p, DStarPlanner):
         assert {s for s, t in enumerate(p._tag) if t == _OPEN} == live.keys()
         for s, (k, _, _) in live.items():
@@ -342,6 +357,85 @@ def test_dstar_closed_values_are_goal_distances(corner_cutting):
             assert planner._tag[grid.index((x, y))] != _CLOSED or (x, y) in dist
     for c in closed:
         assert planner._h[grid.index(c)] == pytest.approx(dist[c], abs=1e-9), c
+
+
+def _dstar_state_digest(p):
+    """sha256 of D*'s whole search state.
+
+    h, k, back-pointers, in-grid tags, the heap in heap order, the live
+    index, the seq counter, the expansions and the probe's three readings.
+    """
+    in_grid = [s for s, f in enumerate(p._flags) if f != OUTSIDE]
+    state = (p._h, p._k, p._back, [p._tag[s] for s in in_grid], p._heap,
+             sorted(_live_index(p).items()), p._seq, p.expanded,
+             (p.probe.live_bytes, p.probe.peak_bytes, p.probe.expansions))
+    return hashlib.sha256(repr(state).encode()).hexdigest()
+
+
+GOLDEN_GRIDS = {
+    "wall_7_21": lambda: generate_wall_grid(WallGridSpec(7, 21)),
+    "random_60": lambda: generate_random_grid(
+        RandomGridSpec(n=60, density=0.3, sg_distance=40, seed=3)),
+}
+
+# golden instance -> D*'s state digests after ``initial_run`` and after one
+# block at the middle of its path and a replan from the start.  Repairs break
+# key ties by seq, so the heap order and the seqs are pinned with the values
+DSTAR_STATE_DIGESTS = {
+    "wall_7_21": ("4e56042714f65b518b778bae617da416a1bbb6dbbc22be0e28fd2c0a3ca3235d",
+                  "fdc09e998393773b43f03d318e18e8e4d2f0e76e3791e9c7b85a9319a9ca0ad5"),
+    "random_60": ("d78279143d9c96f52f7e3b42eeeb08afdcb309defdf74be0d264398418bb812c",
+                  "0bca2ac98c239b912b405db21dc9442425f6593c014f134bb9a5b0266d77ad72"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DSTAR_STATE_DIGESTS))
+def test_dstar_state_pinned(name):
+    grid = GOLDEN_GRIDS[name]()
+    planner = DStarPlanner(grid)
+    planner.initial_run()
+    after_run = _dstar_state_digest(planner)
+    path = planner.extract_path()
+    planner.set_blocked(path[len(path) // 2])
+    planner.replan(grid.start)
+    assert (after_run, _dstar_state_digest(planner)) == DSTAR_STATE_DIGESTS[name]
+
+
+def _initial_state(planner):
+    """Whether ``initial_run`` raised NoPathError, and the state digest after it."""
+    try:
+        planner.initial_run()
+    except NoPathError:
+        return True, _dstar_state_digest(planner)
+    return False, _dstar_state_digest(planner)
+
+
+@pytest.mark.parametrize("corner_cutting", [False, True], ids=["no-cut", "cut"])
+@pytest.mark.parametrize("seed", range(4))
+def test_dstar_toggles_before_initial_run(seed, corner_cutting):
+    """A planner toggled before ``initial_run`` runs as a fresh one on the toggled grid."""
+    n = 10 + 6 * seed
+    grid = generate_random_grid(RandomGridSpec(n=n, density=0.25, sg_distance=n // 2, seed=seed),
+                                allow_corner_cutting=corner_cutting)
+    toggled = DStarPlanner(grid)
+    blocked = set(grid.blocked)
+    rng = random.Random(seed)
+    for _ in range(2 * n):
+        cell = (rng.randrange(n), rng.randrange(n))
+        if cell in (grid.start, grid.goal):
+            continue
+        now_blocked = cell not in blocked
+        toggled.set_blocked(cell, now_blocked)
+        (blocked.add if now_blocked else blocked.discard)(cell)
+    fresh = DStarPlanner(Grid(n, n, frozenset(blocked), grid.start, grid.goal, corner_cutting))
+    assert _initial_state(toggled) == _initial_state(fresh)
+
+
+def test_dstar_initial_run_needs_a_fresh_planner():
+    planner = DStarPlanner(Grid(5, 4, frozenset(), (0, 0), (4, 3)))
+    planner.initial_run()
+    with pytest.raises(RuntimeError, match="fresh planner"):
+        planner.initial_run()
 
 
 @pytest.mark.parametrize("cls", [LpaStarPlanner, DStarPlanner, DStarLitePlanner],
