@@ -405,9 +405,10 @@ def _initial_state(planner):
     """Whether ``initial_run`` raised NoPathError, and the state digest after it."""
     try:
         planner.initial_run()
+        raised = False
     except NoPathError:
-        return True, _dstar_state_digest(planner)
-    return False, _dstar_state_digest(planner)
+        raised = True
+    return raised, _dstar_state_digest(planner)
 
 
 @pytest.mark.parametrize("corner_cutting", [False, True], ids=["no-cut", "cut"])
