@@ -8,31 +8,30 @@ states that first try to reroute through a settled neighbor, entries with
 k == h are LOWER states that propagate improvements to their neighbors.
 On an arc-cost change (an obstacle toggled), affected CLOSED cells
 re-enter the open list and processing resumes until the robot's cell is
-again provably optimal.
-
-``initial_run`` is a backward uniform-cost sweep with its own loop, and
-``replan`` drives the RAISE/LOWER loop (``_run``).  The sweep is exact
-because h only falls during a first search, so every queued cell has
-k == h.  Hence no RAISE state occurs, and a LOWER expansion improves a
-neighbor only where its h exceeds the new cost: a back-pointer child's h
-came from an h of its parent that was no lower.  Toggles made before the
-run only add INF arcs, which no back-pointer crosses yet, so dirty cells
-walk their masks in the sweep too.
-
-The whole record store is kept; its footprint is part of what the
-benchmarks measure.  The store is four dense arrays indexed by padded id
-(tag, h, k, back-pointer), but the probe charges one record per cell that
-has left NEW, as a hashed store of only the touched cells would hold.
-The open list is a binary heap with lazy deletion: ``_heap`` holds (key,
-seq, id) entries and ``_live``, one slot per padded id, holds the seq of
-the entry that counts for each queued id (0: not queued), so a re-push
+again provably optimal.  ``replan`` drives the RAISE/LOWER loop
+(``_run``); ``initial_run`` is a backward uniform-cost sweep with its
+own loop.  The sweep is exact because h only falls during a first
+search, so every queued cell has k == h.  Hence no RAISE state occurs,
+and a LOWER expansion improves a neighbor only where its h exceeds the
+new cost: a back-pointer child's h came from an h of its parent that was
+no lower.  Toggles made before the run only add INF arcs, which no
+back-pointer crosses yet, so dirty cells walk their masks in the sweep
+too.  The whole record store is kept; its footprint is part of what the
+benchmarks measure.
+The store is four dense arrays indexed by padded id (tag, h, k,
+back-pointer), but the probe charges one record per cell that has left
+NEW, as a hashed store of only the touched cells would hold.  The open
+list is a binary heap with lazy deletion: ``_heap`` holds (key, seq,
+id) entries and ``_live`` maps each queued id to the seq of the entry
+that counts (a dense list, 0 where no entry counts), so a re-push
 supersedes the earlier entry and stale entries stay in the heap (and in
-the byte count) until they surface.  A cell walks its usable arcs through
-``grid.arc_masks``, built once per planner and refreshed around each
-toggle; the cells in the 3x3 block of a toggle are marked dirty and, in
-``_run``, walk ``_arcs`` instead, which also lists their unusable arcs, at
-cost INF.
+the byte count) until they surface.  A cell
+walks its usable arcs through ``grid.arc_masks``, built once per planner
+and refreshed around each toggle; the cells in the 3x3 block of a toggle
+are marked dirty and, in ``_run``, walk ``_arcs`` instead, which also
+lists their unusable arcs, at cost INF.
 """
+
 from __future__ import annotations
 
 from heapq import heappop, heappush
