@@ -35,11 +35,11 @@ def describe(name, grid, reps):
     print(header)
     for priority in Priority:
         req = SelectionRequest(grid=grid, priority=priority)
-        ev = evaluate_selection(grid, req, reps=reps)
+        ev = evaluate_selection(req, reps=reps)
         print(f"{priority.name:<12} {ev.selected.label:<12} {ev.best.label:<12} "
               f"{str(ev.selected_is_best).lower():<8}")
     metric_ev = evaluate_selection(
-        grid, SelectionRequest(grid=grid, priority=Priority.MEMORY), reps=reps)
+        SelectionRequest(grid=grid, priority=Priority.MEMORY), reps=reps)
     print(f"{'candidate':<12} {'path_cost':>10} {'memory_kb':>10} {'time_ms':>10}")
     for cand in metric_ev.candidates:
         print(f"{cand.algorithm.label:<12} "

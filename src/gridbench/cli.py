@@ -114,7 +114,7 @@ def _cmd_select(args) -> int:
 def _cmd_evaluate(args) -> int:
     req = _selection_request(args)
     grid = req.grid
-    evaluation = evaluate_selection(grid, req, params=_solver_params(args), reps=args.reps)
+    evaluation = evaluate_selection(req, params=_solver_params(args), reps=args.reps)
     print(",".join(CSV_COLUMNS + ("best_for_priority",)))
     size = f"{grid.width}x{grid.height}"
     sg = sg_distance(grid)

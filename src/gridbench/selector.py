@@ -92,9 +92,9 @@ class SelectionEvaluation:
     selected_is_best: bool
 
 
-def evaluate_selection(grid, req: SelectionRequest, candidates=None,
+def evaluate_selection(req: SelectionRequest, candidates=None,
                        params: SolverParams | None = None, reps: int = 100) -> SelectionEvaluation:
-    """Benchmark the candidates and flag whether the selection wins its metric.
+    """Benchmark the candidates on ``req.grid`` and flag whether the selection wins its metric.
 
     Ties count as a win.  The selected algorithm joins the candidate set if
     it is not already in it.
@@ -106,7 +106,7 @@ def evaluate_selection(grid, req: SelectionRequest, candidates=None,
     if selected not in candidates:
         candidates.append(selected)
     results = tuple(
-        CandidateResult(algorithm=algo, stats=run_repetitions(grid, algo, params, reps=reps))
+        CandidateResult(algorithm=algo, stats=run_repetitions(req.grid, algo, params, reps=reps))
         for algo in candidates
     )
     metric = PRIORITY_METRIC[req.priority]

@@ -47,23 +47,13 @@ _LABELS = {
     AlgorithmId.ASTAR_ORACLE: "A*",
 }
 
+# squashed spellings: each value without underscores, each label upper-cased
+# without spaces, and two extra names for the oracle
 _ALIASES = {
-    "LRTA*": AlgorithmId.LRTA_STAR,
-    "RTAA*": AlgorithmId.RTAA_STAR,
-    "ARA*": AlgorithmId.ARA_STAR,
-    "LPA*": AlgorithmId.LPA_STAR,
-    "D*": AlgorithmId.D_STAR,
-    "D*LITE": AlgorithmId.D_STAR_LITE,
-    "DSTARLITE": AlgorithmId.D_STAR_LITE,
-    "DSTAR": AlgorithmId.D_STAR,
-    "LRTASTAR": AlgorithmId.LRTA_STAR,
-    "RTAASTAR": AlgorithmId.RTAA_STAR,
-    "ARASTAR": AlgorithmId.ARA_STAR,
-    "LPASTAR": AlgorithmId.LPA_STAR,
-    "A*": AlgorithmId.ASTAR_ORACLE,
+    **{a.value.replace("_", ""): a for a in AlgorithmId},
+    **{label.upper().replace(" ", ""): a for a, label in _LABELS.items()},
     "ASTAR": AlgorithmId.ASTAR_ORACLE,
     "ORACLE": AlgorithmId.ASTAR_ORACLE,
-    "ASTARORACLE": AlgorithmId.ASTAR_ORACLE,
 }
 
 

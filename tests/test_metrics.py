@@ -1,5 +1,7 @@
 import math
 import random
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,6 +17,7 @@ from gridbench import (
     measure_run,
     run_repetitions,
 )
+from gridbench import instrumentation
 from gridbench.instrumentation import TrackedMap
 from gridbench.pqueue import LazyHeap
 from helpers import two_pass_stats
@@ -73,6 +76,15 @@ class TestProbe:
         p.expand((0, 0))
         p.expand((1, 1))
         assert p.expansions == 2
+
+    def test_readme_entry_sizes(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        section = re.search(r"## Measurement model\n(.*?)\n## ", readme, re.S).group(1)
+        stated = {name: int(size) for size, name in
+                  re.findall(r"\|\s*(\d+)\s*\|\s*`([A-Z_]+_BYTES)`\s*\|", section)}
+        assert stated == {name: getattr(instrumentation, name) for name in (
+            "MAP_ENTRY_BYTES", "SET_ENTRY_BYTES", "HEAP_ENTRY_BYTES", "RECORD_ENTRY_BYTES",
+            "ARRAY_SLOT_BYTES")}
 
     def test_tracked_map_accounting(self):
         p = AllocationProbe()

@@ -86,14 +86,14 @@ class TestEvaluateSelection:
         # on an empty grid every candidate finds the same optimal cost
         grid = Grid(8, 8, frozenset(), (0, 0), (7, 7))
         req = SelectionRequest(grid=grid, priority=Priority.PATH_COST)
-        ev = evaluate_selection(grid, req, reps=2)
+        ev = evaluate_selection(req, reps=2)
         assert ev.selected is AlgorithmId.D_STAR_LITE
         assert ev.selected_is_best
 
     def test_flag_matches_measured_metrics(self):
         grid = generate_random_grid(RandomGridSpec(n=25, density=0.25, sg_distance=15, seed=8))
         req = SelectionRequest(grid=grid, priority=Priority.MEMORY)
-        ev = evaluate_selection(grid, req, reps=2)
+        ev = evaluate_selection(req, reps=2)
         means = {c.algorithm: c.stats["memory_kb"].mean for c in ev.candidates}
         assert ev.best == min(means, key=means.get)
         assert ev.selected_is_best == (means[ev.selected] <= means[ev.best] + 1e-9)
@@ -101,7 +101,7 @@ class TestEvaluateSelection:
     def test_default_candidate_trio(self):
         grid = Grid(6, 6, frozenset(), (0, 0), (5, 5))
         req = SelectionRequest(grid=grid, priority=Priority.MEMORY)
-        ev = evaluate_selection(grid, req, reps=1)
+        ev = evaluate_selection(req, reps=1)
         assert [c.algorithm for c in ev.candidates] == [
             AlgorithmId.RTAA_STAR, AlgorithmId.ARA_STAR, AlgorithmId.D_STAR_LITE,
         ]
@@ -110,7 +110,7 @@ class TestEvaluateSelection:
         grid = generate_random_grid(RandomGridSpec(n=40, density=0.35, sg_distance=20, seed=3))
         req = SelectionRequest(grid=grid, priority=Priority.MEMORY)
         ev = evaluate_selection(
-            grid, req, candidates=(AlgorithmId.RTAA_STAR, AlgorithmId.D_STAR_LITE), reps=2,
+            req, candidates=(AlgorithmId.RTAA_STAR, AlgorithmId.D_STAR_LITE), reps=2,
         )
         assert ev.best is AlgorithmId.D_STAR_LITE
         assert ev.selected_is_best
@@ -120,6 +120,6 @@ class TestEvaluateSelection:
         # the evaluation record must expose that honestly
         grid = generate_random_grid(RandomGridSpec(n=30, density=0.35, sg_distance=18, seed=11))
         req = SelectionRequest(grid=grid, priority=Priority.SOLVING_TIME)
-        ev = evaluate_selection(grid, req, reps=3)
+        ev = evaluate_selection(req, reps=3)
         assert ev.selected is AlgorithmId.ARA_STAR  # distance 18 < threshold 140
         assert isinstance(ev.selected_is_best, bool)

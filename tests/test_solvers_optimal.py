@@ -30,6 +30,25 @@ OPTIMAL_FAMILY = (
 ALL_ALGOS = tuple(AlgorithmId)
 
 
+# spellings AlgorithmId.parse accepts: each member's value and label in any
+# case, with dashes, spaces or no underscores, plus ASTAR and ORACLE
+PARSE_SPELLINGS = {
+    AlgorithmId.LRTA_STAR: ("LRTA_STAR", "lrta_star", "Lrta-Star", "lrta star", "LRTASTAR",
+                            "lrtastar", "LRTA*", "lrta*", " LRTA* "),
+    AlgorithmId.RTAA_STAR: ("RTAA_STAR", "rtaa-star", "RTAA STAR", "rtaastar", "RTAA*", "rtaa*"),
+    AlgorithmId.ARA_STAR: ("ARA_STAR", "ara_star", "ARA-STAR", "ara star", "ARASTAR", "ARA*",
+                           "ara*"),
+    AlgorithmId.LPA_STAR: ("LPA_STAR", "lpa-star", "LPA STAR", "lpastar", "LPA*", "lpa*"),
+    AlgorithmId.D_STAR: ("D_STAR", "d_star", "D-STAR", "d star", "DSTAR", "dstar", "D*", "d*"),
+    AlgorithmId.D_STAR_LITE: ("D_STAR_LITE", "d_star_lite", "D-Star-Lite", "d star lite",
+                              "DSTAR_LITE", "DSTARLITE", "dstarlite", "D* Lite", "d*lite",
+                              "D*-LITE", "D*_LITE"),
+    AlgorithmId.ASTAR_ORACLE: ("ASTAR_ORACLE", "astar_oracle", "AStar-Oracle", "astar oracle",
+                               "ASTARORACLE", "A*", "a*", "ASTAR", "astar", "A_STAR", "a-star",
+                               "ORACLE", "oracle", " Oracle "),
+}
+
+
 def empty_grid(w, h, start=(0, 0), goal=None):
     return Grid(w, h, frozenset(), start, goal or (w - 1, h - 1))
 
@@ -78,6 +97,17 @@ class TestOracle:
 
 
 class TestSolveContract:
+    @pytest.mark.parametrize("algo", ALL_ALGOS, ids=lambda a: a.value)
+    def test_parse_accepts_spellings(self, algo):
+        assert {text: AlgorithmId.parse(text) for text in PARSE_SPELLINGS[algo]} == dict.fromkeys(
+            PARSE_SPELLINGS[algo], algo)
+
+    def test_parse_rejects_unknown(self):
+        for text in ("", "A", "LRTA", "RTA*", "D**", "DLITE", "D*LITE*", "LPA*STAR",
+                     "ORACLE_STAR", "A*ORACLE", "DIJKSTRA"):
+            with pytest.raises(InvalidSpecError, match="unknown algorithm"):
+                AlgorithmId.parse(text)
+
     @pytest.mark.parametrize("algo, cls", [
         (AlgorithmId.LPA_STAR, LpaStarPlanner),
         (AlgorithmId.D_STAR, DStarPlanner),
