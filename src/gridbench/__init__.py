@@ -48,7 +48,6 @@ from .solvers import (
     RealTimeAgent,
     SearchOutcome,
     SolverParams,
-    TieBreak,
     ara_star_iterates,
     astar_oracle,
     path_cost_of,

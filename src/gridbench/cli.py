@@ -30,24 +30,19 @@ from .selector import (
     parse_priority,
     select_algorithm,
 )
-from .solvers import AlgorithmId, SolverParams, TieBreak, solve
+from .solvers import AlgorithmId, SolverParams, solve
 
 
-def _solver_params(args, **extra) -> SolverParams:
+def _solver_params(args) -> SolverParams:
     return SolverParams(
         lookahead=args.lookahead,
         ara_initial_weight=args.ara_initial_weight,
         ara_weight_decrement=args.ara_weight_decrement,
-        **extra,
     )
 
 
 def _add_param_flags(parser) -> None:
-    """Solver flags shared by ``solve`` and ``evaluate``.
-
-    ``--tie-break`` is ``solve``'s alone: LPA*, D* and D* Lite reject
-    ``low_g``, and ``evaluate``'s candidates include D* Lite.
-    """
+    """Solver flags shared by ``solve`` and ``evaluate``."""
     defaults = SolverParams()
     parser.add_argument("--lookahead", type=int, default=defaults.lookahead)
     parser.add_argument("--ara-initial-weight", type=float, default=defaults.ara_initial_weight)
@@ -84,8 +79,7 @@ def _cmd_solve(args) -> int:
     grid = _load_grid(args)
     algo = AlgorithmId.parse(args.algo)
     try:
-        outcome = solve(grid, algo,
-                        _solver_params(args, tie_break=TieBreak[args.tie_break.upper()]))
+        outcome = solve(grid, algo, _solver_params(args))
     except NoPathError:
         print("no path")
         return 1
@@ -157,8 +151,6 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_grid_args(p_solve)
     p_solve.add_argument("--algo", required=True)
     _add_param_flags(p_solve)
-    p_solve.add_argument("--tie-break", choices=tuple(t.name.lower() for t in TieBreak),
-                         default=SolverParams().tie_break.name.lower())
     p_solve.set_defaults(func=_cmd_solve)
 
     p_select = sub.add_parser("select", help="priority-based algorithm selection")

@@ -31,7 +31,6 @@ from .generators import (
 )
 from .metrics import METRIC_NAMES, aggregate, run_repetitions
 from .solvers import AlgorithmId, SolverParams
-from .solvers.common import require_default_tie_break
 
 WALL_SIZE_LABEL = "31x71"
 
@@ -105,7 +104,6 @@ class SweepConfig:
             raise ConfigError(f"instances_per_point must be >= 1, got {self.instances_per_point}")
         if self.reps < 1:
             raise ConfigError(f"reps must be >= 1, got {self.reps}")
-        require_default_tie_break(self.solver_params, self.algorithms)
 
 
 @dataclass(frozen=True)

@@ -39,10 +39,6 @@ class LazyHeap:
     def __contains__(self, item):
         return item in self._live
 
-    def live_items(self) -> list:
-        """Items with a current entry, in insertion order."""
-        return list(self._live)
-
     def push(self, item, key) -> None:
         self._seq += 1
         self._live[item] = self._seq

@@ -20,7 +20,7 @@ from dataclasses import dataclass, fields
 from .errors import ConfigError, InvalidSpecError
 from .experiments import ExperimentReport, FixedParams, SweepConfig, SweepKind
 from .metrics import METRIC_NAMES
-from .solvers import AlgorithmId, SolverParams, TieBreak
+from .solvers import AlgorithmId, SolverParams
 from .svgchart import Series, render_line_chart
 
 CSV_COLUMNS = (
@@ -82,13 +82,6 @@ def _number_reader(kind):
     return read
 
 
-def _read_tie_break(raw: str) -> TieBreak:
-    try:
-        return TieBreak[raw.upper()]
-    except KeyError:
-        raise ConfigError(f"unknown tie_break {raw!r}") from None
-
-
 def _read_algorithms(raw: str) -> tuple:
     return tuple(AlgorithmId.parse(part) for part in raw.split(",") if part.strip())
 
@@ -99,8 +92,6 @@ def _reader(default):
         return _read_bool
     if isinstance(default, (int, float)):
         return _number_reader(type(default))
-    if isinstance(default, TieBreak):
-        return _read_tie_break
     if isinstance(default, tuple):
         return _read_algorithms
     return str

@@ -15,7 +15,6 @@ from .common import (
     AlgorithmId,
     SearchOutcome,
     SolverParams,
-    TieBreak,
     path_cost_of,
 )
 from . import ara, astar, dstar, dstar_lite, lpa, realtime
@@ -71,7 +70,6 @@ __all__ = [
     "AlgorithmId",
     "SearchOutcome",
     "SolverParams",
-    "TieBreak",
     "path_cost_of",
     "solve",
     "astar_oracle",

@@ -10,7 +10,7 @@ w times the optimum for that round's w, costs never increase between
 rounds, and the w = 1 round is exact.
 
 State is kept as in ``astar``: dense g and parent arrays charged two map
-entries at a cell's first write, and an inline (f, tie, seq, id) heap
+entries at a cell's first write, and an inline (f, -g, seq, id) heap
 with a ``live`` map.  The closed set is a stamp array holding the round
 that closed each cell; each first close in a round charges one set entry.
 """
@@ -28,12 +28,11 @@ from ..instrumentation import (
     SET_ENTRY_BYTES,
     AllocationProbe,
 )
-from .common import INF, SolverParams, TieBreak
+from .common import INF, SolverParams
 
 
 def run_detailed(grid, params: SolverParams, probe: AllocationProbe):
     """Returns (path, cost, expanded, iterates) with one (w, cost) per round."""
-    high_g = params.tie_break is TieBreak.HIGH_G
     stride = grid.width + 2
     # the grid's arcs, built per solve like every solver's; substrate, not charged
     mask, table = arc_masks(grid.flags, grid.steps), arc_table(grid.steps)
@@ -104,7 +103,7 @@ def run_detailed(grid, params: SolverParams, probe: AllocationProbe):
                         seq += 1
                         live[n] = seq
                         heappush(heap, (ng + w * hypot(n % stride - gx, n // stride - gy),
-                                        -ng if high_g else ng, seq, n))
+                                        -ng, seq, n))
                         nbytes += HEAP_ENTRY_BYTES
             if nbytes > peak:
                 peak = nbytes
@@ -134,8 +133,7 @@ def run_detailed(grid, params: SolverParams, probe: AllocationProbe):
             gs = g[s]
             seq += 1
             live[s] = seq
-            heappush(heap, (gs + w * hypot(s % stride - gx, s // stride - gy),
-                            -gs if high_g else gs, seq, s))
+            heappush(heap, (gs + w * hypot(s % stride - gx, s // stride - gy), -gs, seq, s))
             nbytes += HEAP_ENTRY_BYTES
         if nbytes > peak:
             peak = nbytes

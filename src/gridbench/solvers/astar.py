@@ -7,9 +7,10 @@ oracle the rest of the suite is measured against.
 g and the search tree are dense arrays indexed by padded id; a cell's
 first write charges the probe two map entries, as hashed g and parent
 maps of the touched cells would hold.  The open list is a binary heap of
-(f, tie, seq, id) entries with a ``live`` map from each queued id to the
-seq of the entry that counts, so a re-push supersedes the earlier entry,
-which stays in the heap (and in the byte count) until it surfaces.
+(f, -g, seq, id) entries, so equal-f entries pop higher g first, then in
+push order.  A ``live`` map from each queued id to the seq of the entry
+that counts lets a re-push supersede the earlier entry, which stays in
+the heap (and in the byte count) until it surfaces.
 """
 
 from __future__ import annotations
@@ -20,12 +21,11 @@ from math import hypot
 from ..errors import NoPathError
 from ..grid import arc_masks, arc_table
 from ..instrumentation import HEAP_ENTRY_BYTES, MAP_ENTRY_BYTES, AllocationProbe
-from .common import INF, SolverParams, TieBreak
+from .common import INF, SolverParams
 
 
 def run(grid, params: SolverParams, probe: AllocationProbe):
     """Returns (path, path_cost, expanded)."""
-    high_g = params.tie_break is TieBreak.HIGH_G
     stride = grid.width + 2
     # the grid's arcs, built per solve like every solver's; substrate, not charged
     mask, table = arc_masks(grid.flags, grid.steps), arc_table(grid.steps)
@@ -72,8 +72,7 @@ def run(grid, params: SolverParams, probe: AllocationProbe):
                 parent[n] = s
                 seq += 1
                 live[n] = seq
-                heappush(heap, (ng + hypot(n % stride - gx, n // stride - gy),
-                                -ng if high_g else ng, seq, n))
+                heappush(heap, (ng + hypot(n % stride - gx, n // stride - gy), -ng, seq, n))
                 nbytes += HEAP_ENTRY_BYTES
         if nbytes > peak:
             peak = nbytes

@@ -57,19 +57,11 @@ _ALIASES = {
 }
 
 
-class TieBreak(Enum):
-    """Ordering of equal-f open-list entries: prefer larger or smaller g."""
-
-    HIGH_G = "HIGH_G"
-    LOW_G = "LOW_G"
-
-
 @dataclass(frozen=True)
 class SolverParams:
     lookahead: int = 250
     ara_initial_weight: float = 2.5
     ara_weight_decrement: float = 0.5
-    tie_break: TieBreak = TieBreak.HIGH_G
 
     def __post_init__(self):
         if self.lookahead < 1:
@@ -78,21 +70,6 @@ class SolverParams:
             raise InvalidSpecError(f"initial weight must be >= 1, got {self.ara_initial_weight}")
         if self.ara_weight_decrement <= 0:
             raise InvalidSpecError(f"weight decrement must be > 0, got {self.ara_weight_decrement}")
-
-
-# planners whose queue keys fix the order of equal entries
-FIXED_KEY_ORDER = frozenset({AlgorithmId.LPA_STAR, AlgorithmId.D_STAR, AlgorithmId.D_STAR_LITE})
-
-
-def require_default_tie_break(params: SolverParams, algorithms) -> None:
-    """Reject a non-default tie_break that a planner in ``algorithms`` would ignore."""
-    if params.tie_break is not TieBreak.HIGH_G:
-        fixed = [a.label for a in algorithms if a in FIXED_KEY_ORDER]
-        if fixed:
-            raise InvalidSpecError(
-                f"tie_break={params.tie_break.name} is not supported by "
-                f"{', '.join(fixed)}, whose queue keys fix the order of ties"
-            )
 
 
 @dataclass(frozen=True)

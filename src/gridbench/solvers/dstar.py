@@ -39,14 +39,7 @@ from heapq import heappop, heappush
 from ..errors import InvalidCellError, NoPathError
 from ..grid import OUTSIDE, arc_masks, arc_table, refresh_arc_masks
 from ..instrumentation import HEAP_ENTRY_BYTES, RECORD_ENTRY_BYTES, AllocationProbe
-from .common import (
-    INF,
-    AlgorithmId,
-    SolverParams,
-    path_cost_of,
-    require_default_tie_break,
-    toggle_cell,
-)
+from .common import INF, SolverParams, path_cost_of, toggle_cell
 
 _NEW, _OPEN, _CLOSED = 0, 1, 2
 
@@ -55,7 +48,6 @@ class DStarPlanner:
     def __init__(self, grid, params: SolverParams | None = None, probe: AllocationProbe | None = None):
         self.grid = grid
         self.params = params or SolverParams()
-        require_default_tie_break(self.params, (AlgorithmId.D_STAR,))
         self.probe = probe or AllocationProbe()
         # padded flags of the planner's own (mutable) copy of the grid
         self._flags = bytearray(grid.flags)

@@ -11,14 +11,12 @@ from __future__ import annotations
 from ..errors import NoPathError
 from ..grid import neighbor_cells  # noqa: F401  (perfbench's tracer patches this name)
 from ..instrumentation import AllocationProbe
-from .common import INF, AlgorithmId, SolverParams
+from .common import INF, SolverParams
 from .lpa import GRhsPlanner
 
 
 class DStarLitePlanner(GRhsPlanner):
     """D* Lite: backward from the goal, keys aimed at the agent."""
-
-    _algorithm = AlgorithmId.D_STAR_LITE
 
     def __init__(self, grid, params=None, probe=None):
         super().__init__(grid, grid.goal, grid.start, params, probe)

@@ -23,14 +23,7 @@ from ..errors import NoPathError
 from ..grid import arc_masks, arc_table, refresh_arc_masks
 from ..grid import neighbor_cells  # noqa: F401  (perfbench's tracer patches this name)
 from ..instrumentation import HEAP_ENTRY_BYTES, MAP_ENTRY_BYTES, AllocationProbe
-from .common import (
-    INF,
-    AlgorithmId,
-    SolverParams,
-    cells_around,
-    require_default_tie_break,
-    toggle_cell,
-)
+from .common import INF, SolverParams, cells_around, toggle_cell
 
 _HAS_G, _HAS_RHS = 1, 2  # bits of GRhsPlanner._held
 
@@ -39,13 +32,11 @@ class GRhsPlanner:
     """The g/rhs core; the path runs target -> root, or root -> target if ``_forward``."""
 
     _forward = False
-    _algorithm: AlgorithmId  # set by each planner
 
     def __init__(self, grid, root, target, params: SolverParams | None = None,
                  probe: AllocationProbe | None = None):
         self.grid = grid
         self.params = params or SolverParams()
-        require_default_tie_break(self.params, (self._algorithm,))
         self.probe = probe or AllocationProbe()
         # padded flags of the planner's own (mutable) copy of the grid
         self._flags = bytearray(grid.flags)
@@ -287,7 +278,6 @@ class LpaStarPlanner(GRhsPlanner):
     """LPA*: forward from the start, keys aimed at the goal."""
 
     _forward = True
-    _algorithm = AlgorithmId.LPA_STAR
 
     def __init__(self, grid, params=None, probe=None):
         super().__init__(grid, grid.start, grid.goal, params, probe)

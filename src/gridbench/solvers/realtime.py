@@ -5,8 +5,8 @@ best-first lookahead of at most ``lookahead`` expansions from the current
 cell, raise the stored heuristic over the expanded region, then move.  If
 the lookahead reaches the goal the agent commits to the found path;
 otherwise it takes one step toward the best frontier state (minimum
-g + h, ties broken by insertion order).  The executed trajectory,
-revisits included, is the reported path.
+g + h, ties to the higher g, then to the earlier push).  The executed
+trajectory, revisits included, is the reported path.
 
 The two update rules:
 
@@ -41,7 +41,7 @@ from ..instrumentation import (
     SET_ENTRY_BYTES,
     AllocationProbe,
 )
-from .common import INF, SolverParams, TieBreak
+from .common import INF, SolverParams
 
 _N_ARRAYS = 5  # h, g, tree, generated-counter, expanded-counter (negated once settled)
 
@@ -134,7 +134,6 @@ class RealTimeAgent:
         mask, table = self._mask, self._table
         h_arr, g_arr, tree, gen, exp = self._h, self._g, self._tree, self._gen, self._exp
         stride, gx, gy = self._stride, self._gx, self._gy
-        high_g = self.params.tie_break is TieBreak.HIGH_G
         self._episode += 1
         eid = self._episode
         oi = self._pos
@@ -143,7 +142,7 @@ class RealTimeAgent:
         gen[oi] = eid
         tree[oi] = -1
         # The open list is a binary heap with lazy deletion: entries
-        # (f, tie, seq, id), and ``live`` maps each id to the seq of the
+        # (f, -g, seq, id), and ``live`` maps each id to the seq of the
         # entry that counts, so a re-push supersedes the earlier entry.  The
         # probe's bytes are kept in locals (see ``instrumentation``) and
         # written back before each probe call
@@ -185,7 +184,7 @@ class RealTimeAgent:
                         hn = h_arr[ni] = hypot(ni % stride - gx, ni // stride - gy)
                     seq += 1
                     live[ni] = seq
-                    heappush(heap, (ng + hn, -ng if high_g else ng, seq, ni))
+                    heappush(heap, (ng + hn, -ng, seq, ni))
                     nbytes += HEAP_ENTRY_BYTES
             if nbytes > peak:
                 peak = nbytes

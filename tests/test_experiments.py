@@ -1,5 +1,3 @@
-import re
-
 import pytest
 
 from gridbench import (
@@ -7,7 +5,6 @@ from gridbench import (
     ConfigError,
     DEFAULT_SWEEP_VALUES,
     FixedParams,
-    InvalidSpecError,
     SweepConfig,
     SweepKind,
     run_sweep,
@@ -16,7 +13,6 @@ from gridbench import (
 from gridbench import experiments
 from gridbench.generators import WallGridSpec, generate_wall_grid
 from gridbench.metrics import aggregate, run_repetitions
-from gridbench.solvers import SolverParams, TieBreak
 
 FAST_PAIR = (AlgorithmId.ASTAR_ORACLE, AlgorithmId.D_STAR_LITE)
 
@@ -74,15 +70,6 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             FixedParams(**field)
         FixedParams(size=3, density=0.0, sg_distance=0.0)  # the boundaries are legal
-
-    @pytest.mark.parametrize("algo", [
-        AlgorithmId.LPA_STAR, AlgorithmId.D_STAR, AlgorithmId.D_STAR_LITE,
-    ])
-    def test_low_g_rejected_with_a_fixed_key_planner(self, algo):
-        low_g = SolverParams(tie_break=TieBreak.LOW_G)
-        with pytest.raises(InvalidSpecError, match=re.escape(algo.label)):
-            tiny_cfg(algorithms=(AlgorithmId.ARA_STAR, algo), solver_params=low_g)
-        tiny_cfg(algorithms=(AlgorithmId.ARA_STAR,), solver_params=low_g)
 
 
 class TestRunSweep:

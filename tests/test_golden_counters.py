@@ -1,4 +1,4 @@
-"""Exact per-solver readings on two fixed instances.
+"""Exact per-solver readings on three fixed instances.
 
 Cost, expansions and memory are deterministic, so a refactor of the grid
 core or of a solver must reproduce them bit for bit.  The costs are
@@ -16,7 +16,8 @@ from gridbench import (
     generate_wall_grid,
     solve,
 )
-from gridbench.solvers import SolverParams, TieBreak, ara_star_iterates
+from gridbench.grid import Grid
+from gridbench.solvers import SolverParams, ara_star_iterates
 
 A = AlgorithmId
 
@@ -41,6 +42,21 @@ RANDOM_60 = {
     A.ASTAR_ORACLE: ("58.38477631085023", 631, 116472, 54),
 }
 
+# An open grid, where many queued cells tie on f, so the expansion counts
+# pin each family's tie order: higher g first, then push order (A*, ARA*,
+# the agents); lower min(g, rhs) first, then push order (LPA*, D* Lite);
+# push order (D*).
+# A* taking lower g first would expand 269 cells here
+OPEN_30 = {
+    A.LRTA_STAR: ("35.21320343559643", 352, 69176, 30),
+    A.RTAA_STAR: ("35.21320343559643", 700, 67832, 30),
+    A.ARA_STAR: ("35.21320343559643", 258, 77208, 30),
+    A.LPA_STAR: ("35.21320343559643", 285, 63552, 30),
+    A.D_STAR: ("35.213203435596434", 891, 122832, 30),
+    A.D_STAR_LITE: ("35.21320343559643", 285, 63552, 30),
+    A.ASTAR_ORACLE: ("35.21320343559643", 257, 64536, 30),
+}
+
 INSTANCES = {
     "wall_7_21": (lambda cc=False: generate_wall_grid(WallGridSpec(7, 21), cc), WALL_7_21),
     "random_60": (
@@ -48,6 +64,7 @@ INSTANCES = {
             RandomGridSpec(n=60, density=0.3, sg_distance=40, seed=3), cc),
         RANDOM_60,
     ),
+    "open_30": (lambda cc=False: Grid(30, 30, frozenset(), (0, 5), (29, 20), cc), OPEN_30),
 }
 
 # The real-time agents, A* and ARA* under non-default parameters: variant
@@ -55,32 +72,27 @@ INSTANCES = {
 # algorithm) -> the same tuple as above
 VARIANTS = {
     "lookahead_1": (SolverParams(lookahead=1), False),
-    "lookahead_7_low_g": (SolverParams(lookahead=7, tie_break=TieBreak.LOW_G), False),
+    "lookahead_7": (SolverParams(lookahead=7), False),
     "corner_cutting": (SolverParams(), True),
-    "low_g": (SolverParams(tie_break=TieBreak.LOW_G), False),
     "ara_w3_d1": (SolverParams(ara_initial_weight=3.0, ara_weight_decrement=1.0), False),
 }
 
 VARIANT_COUNTERS = {
     ("wall_7_21", "lookahead_1", A.LRTA_STAR): ("1589.1686142824262", 1491, 89552, 1492),
     ("wall_7_21", "lookahead_1", A.RTAA_STAR): ("1589.1686142824262", 1491, 88752, 1492),
-    ("wall_7_21", "lookahead_7_low_g", A.LRTA_STAR): ("721.0853531617402", 4442, 93776, 638),
-    ("wall_7_21", "lookahead_7_low_g", A.RTAA_STAR): ("702.4406922210678", 4234, 90912, 609),
+    ("wall_7_21", "lookahead_7", A.LRTA_STAR): ("688.1564209736057", 4185, 93776, 603),
+    ("wall_7_21", "lookahead_7", A.RTAA_STAR): ("786.2224381515886", 4654, 90912, 670),
     ("wall_7_21", "corner_cutting", A.LRTA_STAR): ("134.75230867899725", 19129, 140768, 108),
     ("wall_7_21", "corner_cutting", A.RTAA_STAR): ("153.82337649086284", 23436, 120576, 125),
     ("random_60", "lookahead_1", A.LRTA_STAR): ("94.24264068711928", 93, 145464, 94),
     ("random_60", "lookahead_1", A.RTAA_STAR): ("94.24264068711928", 93, 144712, 94),
-    ("random_60", "lookahead_7_low_g", A.LRTA_STAR): ("117.69848480983495", 734, 146976, 110),
-    ("random_60", "lookahead_7_low_g", A.RTAA_STAR): ("74.0416305603426", 448, 145352, 68),
+    ("random_60", "lookahead_7", A.LRTA_STAR): ("115.69848480983495", 714, 147152, 108),
+    ("random_60", "lookahead_7", A.RTAA_STAR): ("73.55634918610403", 448, 145464, 70),
     ("random_60", "corner_cutting", A.LRTA_STAR): ("48.284271247461895", 486, 171600, 41),
     ("random_60", "corner_cutting", A.RTAA_STAR): ("48.284271247461895", 998, 162808, 41),
-    ("wall_7_21", "low_g", A.ASTAR_ORACLE): ("135.1959594928932", 1806, 277184, 113),
-    ("wall_7_21", "low_g", A.ARA_STAR): ("135.1959594928932", 3479, 330728, 113),
     ("wall_7_21", "corner_cutting", A.ASTAR_ORACLE): ("128.16652224137033", 1776, 272944, 101),
     ("wall_7_21", "corner_cutting", A.ARA_STAR): ("128.16652224137033", 2796, 319744, 101),
     ("wall_7_21", "ara_w3_d1", A.ARA_STAR): ("135.1959594928932", 2678, 365624, 113),
-    ("random_60", "low_g", A.ASTAR_ORACLE): ("58.38477631085023", 634, 116760, 54),
-    ("random_60", "low_g", A.ARA_STAR): ("58.38477631085023", 760, 146512, 54),
     ("random_60", "corner_cutting", A.ASTAR_ORACLE): ("45.4558441227157", 288, 64288, 39),
     ("random_60", "corner_cutting", A.ARA_STAR): ("45.4558441227157", 288, 76640, 39),
     ("random_60", "ara_w3_d1", A.ARA_STAR): ("58.38477631085023", 751, 155760, 54),

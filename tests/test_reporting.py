@@ -17,7 +17,6 @@ from gridbench import (
 )
 from gridbench.experiments import DEFAULT_ALGORITHMS
 from gridbench.reporting import _KEYS, CSV_COLUMNS, csv_rows
-from gridbench.solvers import TieBreak
 
 
 @pytest.fixture(scope="module")
@@ -79,9 +78,10 @@ class TestConfigParsing:
 
     def test_unknown_key_with_line_number(self, tmp_path):
         cfg = tmp_path / "unk.cfg"
-        cfg.write_text("reps=5\nbogus=1\n")
-        with pytest.raises(ConfigError, match=":2"):
-            parse_config(cfg)
+        for key in ("bogus=1", "tie_break=high_g"):
+            cfg.write_text(f"reps=5\n{key}\n")
+            with pytest.raises(ConfigError, match=":2: unknown key"):
+                parse_config(cfg)
 
     def test_comments_and_blanks_ignored(self, tmp_path):
         cfg = tmp_path / "c.cfg"
@@ -104,21 +104,12 @@ class TestConfigParsing:
         assert plan.sweeps[0].fixed.size == 20
 
     def test_solver_param_keys(self, tmp_path):
-        # LOW_G needs algorithms that honour it (see test_low_g_with_default_algorithms)
         cfg = tmp_path / "p.cfg"
-        cfg.write_text("lookahead=100\nara_initial_weight=3.0\ntie_break=low_g\n"
-                       "algorithms=LRTA_STAR,RTAA_STAR,ARA_STAR\n")
+        cfg.write_text("lookahead=100\nara_initial_weight=3.0\n")
         plan = parse_config(cfg)
         sp = plan.sweeps[0].solver_params
         assert sp.lookahead == 100
         assert sp.ara_initial_weight == 3.0
-        assert sp.tie_break is TieBreak.LOW_G
-
-    def test_low_g_with_default_algorithms(self, tmp_path):
-        cfg = tmp_path / "low.cfg"
-        cfg.write_text("tie_break=low_g\n")
-        with pytest.raises(ConfigError, match="low.cfg: tie_break=LOW_G"):
-            parse_config(cfg)
 
     def test_first_bad_line_named(self, tmp_path):
         cfg = tmp_path / "b.cfg"

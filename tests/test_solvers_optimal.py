@@ -15,7 +15,7 @@ from gridbench import (
     solve,
 )
 from gridbench.instrumentation import AllocationProbe
-from gridbench.solvers import DStarLitePlanner, DStarPlanner, LpaStarPlanner, SolverParams, TieBreak
+from gridbench.solvers import DStarLitePlanner, DStarPlanner, LpaStarPlanner
 from helpers import assert_valid_path, bellman_ford_cost
 
 SQRT2 = math.sqrt(2)
@@ -88,13 +88,6 @@ class TestOracle:
             assert out.path_cost == pytest.approx(bellman_ford_cost(g), abs=1e-9)
             assert_valid_path(g, out.path, out.path_cost)
 
-    def test_tie_break_configurable(self):
-        g = empty_grid(6, 6)
-        hi = astar_oracle(g, SolverParams(tie_break=TieBreak.HIGH_G))
-        lo = astar_oracle(g, SolverParams(tie_break=TieBreak.LOW_G))
-        assert hi.path_cost == pytest.approx(lo.path_cost)
-        assert hi.expanded <= lo.expanded
-
 
 class TestSolveContract:
     @pytest.mark.parametrize("algo", ALL_ALGOS, ids=lambda a: a.value)
@@ -107,19 +100,6 @@ class TestSolveContract:
                      "ORACLE_STAR", "A*ORACLE", "DIJKSTRA"):
             with pytest.raises(InvalidSpecError, match="unknown algorithm"):
                 AlgorithmId.parse(text)
-
-    @pytest.mark.parametrize("algo, cls", [
-        (AlgorithmId.LPA_STAR, LpaStarPlanner),
-        (AlgorithmId.D_STAR, DStarPlanner),
-        (AlgorithmId.D_STAR_LITE, DStarLitePlanner),
-    ], ids=["LPA*", "D*", "D* Lite"])
-    def test_fixed_key_planner_rejects_low_g(self, algo, cls):
-        g = empty_grid(6, 6)
-        low_g = SolverParams(tie_break=TieBreak.LOW_G)
-        with pytest.raises(InvalidSpecError, match="LOW_G"):
-            solve(g, algo, low_g)
-        with pytest.raises(InvalidSpecError, match="LOW_G"):
-            cls(g, low_g)
 
     @pytest.mark.parametrize("algo", ALL_ALGOS, ids=lambda a: a.value)
     def test_trivial_start_equals_goal(self, algo):
