@@ -100,11 +100,7 @@ class RealTimeAgent:
 
     @property
     def last_open(self) -> list:
-        """Cells on the open list when the most recent lookahead stopped.
-
-        A cell whose g fell after its expansion is pushed again, so it can
-        be in both lists; the learning backup seeds it as frontier.
-        """
+        """Cells on the open list when the most recent lookahead stopped."""
         return [self.grid.coord(i) for i in self._open]
 
     def h_value(self, c) -> float:
@@ -174,6 +170,10 @@ class RealTimeAgent:
             gs = g_arr[si]
             for off, c in table[mask[si]]:
                 ni = si + off
+                if exp[ni] == eid:
+                    # h is consistent, so an expanded cell's g is already
+                    # least; a lower ng is a rounding difference only
+                    continue
                 ng = gs + c
                 if gen[ni] != eid or ng < g_arr[ni]:
                     g_arr[ni] = ng

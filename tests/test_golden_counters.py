@@ -23,8 +23,8 @@ A = AlgorithmId
 
 # algorithm -> (repr(path_cost), expanded, peak_memory_bytes, len(path))
 WALL_7_21 = {
-    A.LRTA_STAR: ("147.68124086713183", 22177, 139584, 123),
-    A.RTAA_STAR: ("174.16652224137056", 28468, 118728, 147),
+    A.LRTA_STAR: ("147.09545442950497", 21702, 140080, 122),
+    A.RTAA_STAR: ("159.58073580374358", 24485, 118904, 132),
     A.ARA_STAR: ("135.1959594928932", 3473, 330736, 113),
     A.LPA_STAR: ("135.1959594928932", 1811, 274528, 113),
     A.D_STAR: ("135.19595949289322", 2049, 280128, 113),
@@ -33,8 +33,8 @@ WALL_7_21 = {
 }
 
 RANDOM_60 = {
-    A.LRTA_STAR: ("61.79898987322332", 2134, 181304, 57),
-    A.RTAA_STAR: ("60.38477631085023", 3494, 157976, 56),
+    A.LRTA_STAR: ("60.38477631085023", 1948, 180376, 56),
+    A.RTAA_STAR: ("61.21320343559642", 3494, 157976, 56),
     A.ARA_STAR: ("58.38477631085023", 758, 146128, 54),
     A.LPA_STAR: ("58.38477631085023", 634, 109328, 54),
     A.D_STAR: ("58.38477631085023", 1885, 266752, 54),
@@ -48,8 +48,8 @@ RANDOM_60 = {
 # push order (D*).
 # A* taking lower g first would expand 269 cells here
 OPEN_30 = {
-    A.LRTA_STAR: ("35.21320343559643", 352, 69176, 30),
-    A.RTAA_STAR: ("35.21320343559643", 700, 67832, 30),
+    A.LRTA_STAR: ("35.21320343559643", 334, 69176, 30),
+    A.RTAA_STAR: ("35.21320343559643", 476, 68072, 30),
     A.ARA_STAR: ("35.21320343559643", 258, 77208, 30),
     A.LPA_STAR: ("35.21320343559643", 285, 63552, 30),
     A.D_STAR: ("35.213203435596434", 891, 122832, 30),
@@ -80,16 +80,16 @@ VARIANTS = {
 VARIANT_COUNTERS = {
     ("wall_7_21", "lookahead_1", A.LRTA_STAR): ("1589.1686142824262", 1491, 89552, 1492),
     ("wall_7_21", "lookahead_1", A.RTAA_STAR): ("1589.1686142824262", 1491, 88752, 1492),
-    ("wall_7_21", "lookahead_7", A.LRTA_STAR): ("688.1564209736057", 4185, 93776, 603),
-    ("wall_7_21", "lookahead_7", A.RTAA_STAR): ("786.2224381515886", 4654, 90912, 670),
-    ("wall_7_21", "corner_cutting", A.LRTA_STAR): ("134.75230867899725", 19129, 140768, 108),
-    ("wall_7_21", "corner_cutting", A.RTAA_STAR): ("153.82337649086284", 23436, 120576, 125),
+    ("wall_7_21", "lookahead_7", A.LRTA_STAR): ("490.2741699796966", 2939, 93776, 425),
+    ("wall_7_21", "lookahead_7", A.RTAA_STAR): ("782.8082245892155", 4633, 90912, 667),
+    ("wall_7_21", "corner_cutting", A.LRTA_STAR): ("137.33809511662423", 19430, 144880, 111),
+    ("wall_7_21", "corner_cutting", A.RTAA_STAR): ("159.237590053236", 24228, 121192, 130),
     ("random_60", "lookahead_1", A.LRTA_STAR): ("94.24264068711928", 93, 145464, 94),
     ("random_60", "lookahead_1", A.RTAA_STAR): ("94.24264068711928", 93, 144712, 94),
     ("random_60", "lookahead_7", A.LRTA_STAR): ("115.69848480983495", 714, 147152, 108),
-    ("random_60", "lookahead_7", A.RTAA_STAR): ("73.55634918610403", 448, 145464, 70),
+    ("random_60", "lookahead_7", A.RTAA_STAR): ("72.97056274847712", 441, 145464, 69),
     ("random_60", "corner_cutting", A.LRTA_STAR): ("48.284271247461895", 486, 171600, 41),
-    ("random_60", "corner_cutting", A.RTAA_STAR): ("48.284271247461895", 998, 162808, 41),
+    ("random_60", "corner_cutting", A.RTAA_STAR): ("48.284271247461895", 991, 163688, 41),
     ("wall_7_21", "corner_cutting", A.ASTAR_ORACLE): ("128.16652224137033", 1776, 272944, 101),
     ("wall_7_21", "corner_cutting", A.ARA_STAR): ("128.16652224137033", 2796, 319744, 101),
     ("wall_7_21", "ara_w3_d1", A.ARA_STAR): ("135.1959594928932", 2678, 365624, 113),

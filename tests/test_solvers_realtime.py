@@ -104,8 +104,8 @@ class TestLrtaHeuristicUpdates:
         # not back on the open list satisfies the one-step dynamic-programming
         # equation over its neighbours.  Exactly: the backup sets h(s) to its
         # settling neighbour's h plus the step cost, the same sum this min
-        # takes.  A cell re-opened after its expansion is a frontier seed
-        # and keeps its h
+        # takes.  No expanded cell is re-opened, so no expanded cell is a
+        # frontier seed that keeps its old h
         for corner_cutting in (False, True):
             for lookahead in (1, 15, SolverParams().lookahead):
                 backups = 0
@@ -116,10 +116,8 @@ class TestLrtaHeuristicUpdates:
                                           AllocationProbe(), adaptive=False)
                     while not agent.run_episode():
                         backups += 1
-                        frontier = set(agent.last_open)
+                        assert set(agent.last_open).isdisjoint(agent.last_closed)
                         for s in agent.last_closed:
-                            if s in frontier:
-                                continue
                             expected = min(c + agent.h_value(n) for n, c in g.neighbors8(s))
                             assert agent.h_value(s) == expected, (corner_cutting, lookahead, seed, s)
                 assert backups > 0, (corner_cutting, lookahead)
