@@ -4,9 +4,12 @@ Both agents repeat the same cycle until the goal is reached: run a
 best-first lookahead of at most ``lookahead`` expansions from the current
 cell, raise the stored heuristic over the expanded region, then move.  If
 the lookahead reaches the goal the agent commits to the found path;
-otherwise it takes one step toward the best frontier state (minimum
-g + h, ties to the higher g, then to the earlier push).  The executed
-trajectory, revisits included, is the reported path.
+otherwise it walks the whole search-tree path to the best frontier state
+(minimum g + h, ties to the higher g, then to the earlier push), as
+RTAA* (Koenig & Likhachev, AAMAS 2006) and LSS-LRTA* (Koenig & Sun,
+JAAMAS 2009) do, and the next lookahead starts there.  An expanded cell
+is never re-opened within a lookahead.  The executed trajectory,
+revisits included, is the reported path.
 
 The two update rules:
 
@@ -202,27 +205,24 @@ class RealTimeAgent:
         probe.live_bytes, probe.peak_bytes = nbytes, peak
 
         if reached:
-            for step in self._chain_to(goal, oi):
-                self._step(step)
-            self._finish_episode(heap, closed)
-            self.done = True
-            self._release_arrays()
-            return True
-
-        if not heap:
+            best = goal
+        elif not heap:
             self._finish_episode(heap, closed)
             self._release_arrays()
             raise NoPathError(f"goal {tuple(grid.goal)} unreachable from {tuple(grid.start)}")
-        best = heap[0][3]
-
-        if self.adaptive:
-            f_best = g_arr[best] + h_arr[best]
-            for si in closed:
-                h_arr[si] = f_best - g_arr[si]
         else:
-            self._learning_backup(list(live), closed, eid)
+            best = heap[0][3]
+            if self.adaptive:
+                f_best = g_arr[best] + h_arr[best]
+                for si in closed:
+                    h_arr[si] = f_best - g_arr[si]
+            else:
+                self._learning_backup(list(live), closed, eid)
 
-        self._step(self._chain_to(best, oi)[0])
+        # the map is static and fully known, so the tree path to the goal or
+        # to the best frontier cell stays valid while the agent walks all of it
+        for step in self._chain_to(best, oi):
+            self._step(step)
         self._finish_episode(heap, closed)
         if self._pos == goal:
             self.done = True

@@ -145,6 +145,35 @@ def test_live_bytes_balance_after_every_episode(adaptive, lookahead):
 
 
 @pytest.mark.parametrize("adaptive", (False, True), ids=("lrta", "rtaa"))
+@pytest.mark.parametrize("lookahead", (1, 15, SolverParams().lookahead))
+def test_episode_walks_to_a_frontier_cell(adaptive, lookahead):
+    """An episode short of the goal walks its whole tree path to an open cell.
+
+    The walk passes only cells the episode expanded and ends on a cell of
+    ``last_open``, so it moves at least one cell.  With a budget of 1 only
+    the origin is expanded and the walk is a single step.
+    """
+    walks = 0
+    for seed in range(4):
+        for corner_cutting in (False, True):
+            spec = RandomGridSpec(n=40, density=0.3, sg_distance=30, seed=seed)
+            g = generate_random_grid(spec, corner_cutting)
+            agent = RealTimeAgent(g, SolverParams(lookahead=lookahead), AllocationProbe(), adaptive)
+            while True:
+                start = len(agent.path)
+                if agent.run_episode():
+                    break
+                walks += 1
+                walk = agent.path[start:]
+                assert walk and walk[-1] == agent.position, (seed, corner_cutting)
+                assert agent.position in agent.last_open, (seed, corner_cutting)
+                assert set(walk[:-1]) <= set(agent.last_closed), (seed, corner_cutting)
+                if lookahead == 1:
+                    assert len(walk) == 1, (seed, corner_cutting)
+    assert walks > 0
+
+
+@pytest.mark.parametrize("adaptive", (False, True), ids=("lrta", "rtaa"))
 def test_live_bytes_zero_after_no_path(adaptive):
     probe = AllocationProbe()
     agent = RealTimeAgent(SEALED_GOAL, SolverParams(), probe, adaptive)
