@@ -45,9 +45,8 @@ _NEW, _OPEN, _CLOSED = 0, 1, 2
 
 
 class DStarPlanner:
-    def __init__(self, grid, params: SolverParams | None = None, probe: AllocationProbe | None = None):
+    def __init__(self, grid, probe: AllocationProbe | None = None):
         self.grid = grid
-        self.params = params or SolverParams()
         self.probe = probe or AllocationProbe()
         # padded flags of the planner's own (mutable) copy of the grid
         self._flags = bytearray(grid.flags)
@@ -308,4 +307,4 @@ class DStarPlanner:
 
 
 def run(grid, params: SolverParams, probe: AllocationProbe):
-    return DStarPlanner(grid, params, probe).solve()
+    return DStarPlanner(grid, probe).solve()

@@ -18,8 +18,8 @@ from .lpa import GRhsPlanner
 class DStarLitePlanner(GRhsPlanner):
     """D* Lite: backward from the goal, keys aimed at the agent."""
 
-    def __init__(self, grid, params=None, probe=None):
-        super().__init__(grid, grid.goal, grid.start, params, probe)
+    def __init__(self, grid, probe=None):
+        super().__init__(grid, grid.goal, grid.start, probe)
 
     @property
     def position(self):
@@ -38,4 +38,4 @@ class DStarLitePlanner(GRhsPlanner):
 
 
 def run(grid, params: SolverParams, probe: AllocationProbe):
-    return DStarLitePlanner(grid, params, probe).solve()
+    return DStarLitePlanner(grid, probe).solve()

@@ -33,10 +33,8 @@ class GRhsPlanner:
 
     _forward = False
 
-    def __init__(self, grid, root, target, params: SolverParams | None = None,
-                 probe: AllocationProbe | None = None):
+    def __init__(self, grid, root, target, probe: AllocationProbe | None = None):
         self.grid = grid
-        self.params = params or SolverParams()
         self.probe = probe or AllocationProbe()
         # padded flags of the planner's own (mutable) copy of the grid
         self._flags = bytearray(grid.flags)
@@ -279,9 +277,9 @@ class LpaStarPlanner(GRhsPlanner):
 
     _forward = True
 
-    def __init__(self, grid, params=None, probe=None):
-        super().__init__(grid, grid.start, grid.goal, params, probe)
+    def __init__(self, grid, probe=None):
+        super().__init__(grid, grid.start, grid.goal, probe)
 
 
 def run(grid, params: SolverParams, probe: AllocationProbe):
-    return LpaStarPlanner(grid, params, probe).solve()
+    return LpaStarPlanner(grid, probe).solve()
