@@ -165,8 +165,8 @@ def test_episode_walks_to_a_frontier_cell(adaptive, lookahead):
                     break
                 walks += 1
                 walk = agent.path[start:]
-                assert walk and walk[-1] == agent.position, (seed, corner_cutting)
-                assert agent.position in agent.last_open, (seed, corner_cutting)
+                assert walk, (seed, corner_cutting)
+                assert walk[-1] in agent.last_open, (seed, corner_cutting)
                 assert set(walk[:-1]) <= set(agent.last_closed), (seed, corner_cutting)
                 if lookahead == 1:
                     assert len(walk) == 1, (seed, corner_cutting)
