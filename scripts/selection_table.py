@@ -3,8 +3,9 @@
 
 Generates a handful of random and wall environments, benchmarks the
 candidate trio (RTAA*, ARA*, D* Lite) on each, and prints one block per
-grid showing every candidate's measurements, the per-priority winner, and
-what the rule would have picked instead.
+grid showing the per-priority winner, what the rule would have picked
+instead, and every candidate's measurements from the solving-time
+evaluation (the one whose times decided that verdict).
 
 Usage:
     python scripts/selection_table.py [--reps N] [--seed N]
@@ -33,15 +34,14 @@ def describe(name, grid, reps):
           f"{len(grid.blocked)} blocked, start {tuple(grid.start)} goal {tuple(grid.goal)}")
     header = f"{'priority':<12} {'suggested':<12} {'winner':<12} {'correct':<8}"
     print(header)
+    evaluations = {}
     for priority in Priority:
         req = SelectionRequest(grid=grid, priority=priority)
-        ev = evaluate_selection(req, reps=reps)
+        ev = evaluations[priority] = evaluate_selection(req, reps=reps)
         print(f"{priority.name:<12} {ev.selected.label:<12} {ev.best.label:<12} "
               f"{str(ev.selected_is_best).lower():<8}")
-    metric_ev = evaluate_selection(
-        SelectionRequest(grid=grid, priority=Priority.MEMORY), reps=reps)
     print(f"{'candidate':<12} {'path_cost':>10} {'memory_kb':>10} {'time_ms':>10}")
-    for cand in metric_ev.candidates:
+    for cand in evaluations[Priority.SOLVING_TIME].candidates:
         print(f"{cand.algorithm.label:<12} "
               f"{fmt3(cand.stats['path_cost'].mean):>10} "
               f"{fmt3(cand.stats['memory_kb'].mean):>10} "

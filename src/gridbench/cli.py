@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import fields
 
 from .errors import GridBenchError, NoPathError
 from .experiments import run_sweep
@@ -34,20 +35,15 @@ from .solvers import AlgorithmId, SolverParams, solve
 
 
 def _solver_params(args) -> SolverParams:
-    return SolverParams(
-        lookahead=args.lookahead,
-        ara_initial_weight=args.ara_initial_weight,
-        ara_weight_decrement=args.ara_weight_decrement,
-    )
+    return SolverParams(**{f.name: getattr(args, f.name) for f in fields(SolverParams)})
 
 
 def _add_param_flags(parser) -> None:
-    """Solver flags shared by ``solve`` and ``evaluate``."""
-    defaults = SolverParams()
-    parser.add_argument("--lookahead", type=int, default=defaults.lookahead)
-    parser.add_argument("--ara-initial-weight", type=float, default=defaults.ara_initial_weight)
-    parser.add_argument("--ara-weight-decrement", type=float,
-                        default=defaults.ara_weight_decrement)
+    """Solver flags shared by ``solve`` and ``evaluate``: one per ``SolverParams``
+    field, typed by its default."""
+    for f in fields(SolverParams):
+        parser.add_argument(f"--{f.name.replace('_', '-')}", type=type(f.default),
+                            default=f.default)
 
 
 def _add_grid_args(parser) -> None:

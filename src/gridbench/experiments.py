@@ -6,7 +6,8 @@ generates a set of instances per parameter value, measures every
 algorithm once on every distinct instance grid, and aggregates
 per-instance means into one report row per (algorithm, value).  A wall
 point lists its one deterministic grid once per instance, so that grid
-is measured once and each instance takes the same measurement.
+is measured once and each instance takes the same measurement.  All
+measurements run in the calling process, one after another.
 
 The held-constant start-goal distance is capped at n - 1 on grids too
 small to realize it, so the size sweep stays well defined at its lower
@@ -15,8 +16,7 @@ end; swept distance values are never adjusted.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 
 from ._version import __version__
@@ -90,7 +90,6 @@ class SweepConfig:
     seed: int = 0
     solver_params: SolverParams = field(default_factory=SolverParams)
     allow_corner_cutting: bool = False
-    parallel_pairs: bool = False
 
     def __post_init__(self):
         values = tuple(self.values) or DEFAULT_SWEEP_VALUES[self.kind]
@@ -159,11 +158,6 @@ def _point(cfg: SweepConfig, index: int, value) -> tuple:
     return grids, (None, None, density, str(n))
 
 
-def _measure_point(args):
-    grid, algo, params, reps = args
-    return run_repetitions(grid, algo, params, reps=reps)
-
-
 def run_sweep(cfg: SweepConfig) -> ExperimentReport:
     """Execute one sweep; deterministic given the seed except solve times."""
     points = []
@@ -173,20 +167,16 @@ def run_sweep(cfg: SweepConfig) -> ExperimentReport:
         except (GenerationError, InvalidSpecError) as exc:
             raise type(exc)(f"sweep {cfg.kind.value}, value {value}: {exc}") from exc
 
-    # One job per distinct (grid, algorithm) pair in order of first
+    # One measurement per distinct (grid, algorithm) pair, in order of first
     # occurrence, keyed by grid identity: a wall point lists its one grid
     # instances_per_point times, while equal random instances stay separate.
-    jobs = {}
+    results = {}
     for grids, _ in points:
         for algo in cfg.algorithms:
             for grid in grids:
-                jobs.setdefault((id(grid), algo), (grid, algo, cfg.solver_params, cfg.reps))
-    if cfg.parallel_pairs:
-        with ProcessPoolExecutor() as pool:
-            measured = list(pool.map(_measure_point, jobs.values()))
-    else:
-        measured = [_measure_point(job) for job in jobs.values()]
-    results = dict(zip(jobs, measured))
+                if (id(grid), algo) not in results:
+                    results[id(grid), algo] = run_repetitions(
+                        grid, algo, cfg.solver_params, reps=cfg.reps)
 
     rows = []
     for value, (grids, labels) in zip(cfg.values, points):
@@ -196,15 +186,11 @@ def run_sweep(cfg: SweepConfig) -> ExperimentReport:
             per_grid = [results[id(g), algo] for g in grids]
             stats = {m: aggregate([stats[m].mean for stats in per_grid]) for m in METRIC_NAMES}
             rows.append(SweepRow(algo, value, *labels, sg_distance=mean_sg, stats=stats))
-    provenance = {
-        "kind": cfg.kind.value,
-        "values": list(cfg.values),
-        "fixed": {"density": cfg.fixed.density, "size": cfg.fixed.size,
-                  "sg_distance": cfg.fixed.sg_distance},
-        "algorithms": [a.value for a in cfg.algorithms],
-        "instances_per_point": cfg.instances_per_point,
-        "reps": cfg.reps,
-        "seed": cfg.seed,
-        "version": __version__,
-    }
+    provenance = dict(
+        asdict(cfg),
+        kind=cfg.kind.value,
+        values=list(cfg.values),
+        algorithms=[a.value for a in cfg.algorithms],
+        version=__version__,
+    )
     return ExperimentReport(kind=cfg.kind, rows=tuple(rows), provenance=provenance)

@@ -45,9 +45,7 @@ def run_detailed(grid, params: SolverParams, probe: AllocationProbe):
     rnd = 1
     nclosed = 0  # cells closed this round
     g[start] = 0.0
-    # keyed by (x, y): the iteration order of this set is the re-open
-    # order, which breaks ties between equal keys in the next round
-    incons = set()
+    incons = {}  # padded id -> None, in insertion order
     expanded = 0
     iterates = []
 
@@ -95,9 +93,8 @@ def run_detailed(grid, params: SolverParams, probe: AllocationProbe):
                     g[n] = ng
                     parent[n] = s
                     if closed[n] == rnd:
-                        xy = (n % stride - 1, n // stride - 1)
-                        if xy not in incons:
-                            incons.add(xy)
+                        if n not in incons:
+                            incons[n] = None
                             nbytes += SET_ENTRY_BYTES
                     else:
                         seq += 1
@@ -119,10 +116,7 @@ def run_detailed(grid, params: SolverParams, probe: AllocationProbe):
         # then the inconsistency list, at the new weight; every heap entry
         # of the finished round is freed, stale ones included
         reopen = list(live)
-        for x, y in incons:
-            s = grid.index((x, y))
-            if s not in live:
-                reopen.append(s)
+        reopen.extend(s for s in incons if s not in live)
         nbytes -= HEAP_ENTRY_BYTES * len(heap) + SET_ENTRY_BYTES * (len(incons) + nclosed)
         heap.clear()
         live.clear()

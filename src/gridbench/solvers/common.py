@@ -84,8 +84,14 @@ class SearchOutcome:
 
 
 def path_cost_of(path) -> float:
-    """Sum of step costs along a chain of 8-neighbor moves."""
-    return sum((step_cost(path[i], path[i + 1]) for i in range(len(path) - 1)), 0.0)
+    """Sum of step costs along a chain of 8-neighbor moves, added left to right.
+
+    An explicit loop, because ``sum()`` of floats is compensated from Python
+    3.12 on and would change the last digit of pinned costs."""
+    cost = 0.0
+    for i in range(len(path) - 1):
+        cost += step_cost(path[i], path[i + 1])
+    return cost
 
 
 def toggle_cell(grid, flags, cell, blocked: bool, fixed, why: str) -> int:

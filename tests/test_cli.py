@@ -82,6 +82,19 @@ class TestSolve:
     def test_missing_file(self, capsys):
         assert main(["solve", "does-not-exist.txt", "--algo", "ASTAR_ORACLE"]) == 1
 
+    @pytest.mark.parametrize("algo, flag, value", [
+        ("RTAA*", "--lookahead", "1"),
+        ("LRTA*", "--lookahead", "1"),
+        ("ARA*", "--ara-initial-weight", "1"),
+    ])
+    def test_solver_flag_is_honoured(self, grid_file, capsys, algo, flag, value):
+        def expanded(*flags):
+            assert main(["solve", grid_file, "--algo", algo, *flags]) == 0
+            out = capsys.readouterr().out
+            return int(out.split("expanded: ", 1)[1].split()[0])
+
+        assert expanded(flag, value) != expanded()
+
 
 class TestEvaluate:
     def test_three_rows_plus_choice(self, grid_file, capsys):

@@ -11,6 +11,7 @@ from gridbench import (
     wall_length_sequence,
 )
 from gridbench import experiments
+from gridbench.experiments import WALL_GRID_DEFAULT_LENGTH
 from gridbench.generators import WallGridSpec, generate_wall_grid
 from gridbench.metrics import aggregate, run_repetitions
 
@@ -94,6 +95,12 @@ class TestRunSweep:
         assert report.provenance["seed"] == 99
         assert report.provenance["kind"] == "grid_size"
         assert "version" in report.provenance
+        # every SweepConfig field is recorded, the solver settings included
+        assert report.provenance["solver_params"] == {
+            "lookahead": 250, "ara_initial_weight": 2.5, "ara_weight_decrement": 0.5}
+        assert report.provenance["allow_corner_cutting"] is False
+        assert report.provenance["algorithms"] == [a.value for a in FAST_PAIR]
+        assert report.provenance["fixed"] == {"density": 0.15, "size": 10, "sg_distance": 6.0}
 
     def test_sg_cap_on_small_sizes(self):
         # fixed distance 140 is not realizable at size 8; the sweep caps it
@@ -142,22 +149,10 @@ class TestRunSweep:
         report = run_sweep(cfg)
         assert all(r.num_walls == 7 for r in report.rows)
 
-    def test_parallel_matches_serial_deterministic_metrics(self):
-        # a random sweep, and a wall sweep whose one grid fans out to 2 instances
-        wall = {"kind": SweepKind.WALL_COUNT, "values": (1, 2), "reps": 1}
-        for overrides in ({}, wall):
-            serial = run_sweep(tiny_cfg(**overrides))
-            parallel = run_sweep(tiny_cfg(parallel_pairs=True, **overrides))
-            assert len(serial.rows) == len(parallel.rows) == 4
-            for r1, r2 in zip(serial.rows, parallel.rows):
-                assert (r1.algorithm, r1.value) == (r2.algorithm, r2.value)
-                assert r1.stats["path_cost"].mean == r2.stats["path_cost"].mean
-                assert r1.stats["memory_kb"].mean == r2.stats["memory_kb"].mean
-                assert all(s.n == 2 for s in r2.stats.values())
-
-
 class TestDistinctJobs:
-    """run_sweep measures each distinct (grid, algorithm) pair once."""
+    """run_sweep measures each distinct (grid, algorithm) pair once, in the
+    calling process, in order of first occurrence: points, then algorithms,
+    then grids."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -174,7 +169,9 @@ class TestDistinctJobs:
     def test_wall_point_measures_its_grid_once(self, calls):
         cfg = tiny_cfg(kind=SweepKind.WALL_COUNT, values=(1, 2), instances_per_point=3, reps=1)
         report = run_sweep(cfg)
-        assert len(calls) == 4  # 2 values x 2 algorithms
+        walls = [generate_wall_grid(WallGridSpec(num_walls=k, wall_length=WALL_GRID_DEFAULT_LENGTH))
+                 for k in cfg.values]
+        assert calls == [(g, a) for g in walls for a in FAST_PAIR]  # 2 values x 2 algorithms
         assert len({(id(g), a) for g, a in calls}) == 4
         for row in report.rows:
             assert all(s.n == 3 for s in row.stats.values())
@@ -187,9 +184,10 @@ class TestDistinctJobs:
     def test_random_point_measures_every_instance(self, calls):
         cfg = tiny_cfg(instances_per_point=3)
         report = run_sweep(cfg)
+        points = [experiments._point(cfg, i, value)[0] for i, value in enumerate(cfg.values)]
         assert len(calls) == 2 * 2 * 3  # values x algorithms x instances
-        for index, value in enumerate(cfg.values):
-            grids, _ = experiments._point(cfg, index, value)
+        assert calls == [(g, a) for grids in points for a in FAST_PAIR for g in grids]
+        for value, grids in zip(cfg.values, points):
             for row in (r for r in report.rows if r.value == value):
                 assert all(s.n == 3 for s in row.stats.values())
                 direct = [run_repetitions(g, row.algorithm, reps=1) for g in grids]

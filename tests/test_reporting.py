@@ -78,7 +78,7 @@ class TestConfigParsing:
 
     def test_unknown_key_with_line_number(self, tmp_path):
         cfg = tmp_path / "unk.cfg"
-        for key in ("bogus=1", "tie_break=high_g"):
+        for key in ("bogus=1", "tie_break=high_g", "parallel_pairs=true"):
             cfg.write_text(f"reps=5\n{key}\n")
             with pytest.raises(ConfigError, match=":2: unknown key"):
                 parse_config(cfg)
