@@ -362,11 +362,13 @@ def test_dstar_closed_values_are_goal_distances(corner_cutting):
 def _dstar_state_digest(p):
     """sha256 of D*'s whole search state.
 
-    h, k, back-pointers, in-grid tags, the heap in heap order, the live
-    index, the seq counter, the expansions and the probe's three readings.
+    h, k, back-pointers, in-grid tags, the heap's entries, the live index,
+    the seq counter, the expansions and the probe's three readings.  Every
+    seq is unique, so the sorted entries fix the pop order completely; the
+    heap's list layout is not part of the state.
     """
     in_grid = [s for s, f in enumerate(p._flags) if f != OUTSIDE]
-    state = (p._h, p._k, p._back, [p._tag[s] for s in in_grid], p._heap,
+    state = (p._h, p._k, p._back, [p._tag[s] for s in in_grid], sorted(p._heap),
              sorted(_live_index(p).items()), p._seq, p.expanded,
              (p.probe.live_bytes, p.probe.peak_bytes, p.probe.expansions))
     return hashlib.sha256(repr(state).encode()).hexdigest()
@@ -380,12 +382,12 @@ GOLDEN_GRIDS = {
 
 # golden instance -> D*'s state digests after ``initial_run`` and after one
 # block at the middle of its path and a replan from the start.  Repairs break
-# key ties by seq, so the heap order and the seqs are pinned with the values
+# key ties by seq, so the queued entries and the seqs are pinned with the values
 DSTAR_STATE_DIGESTS = {
-    "wall_7_21": ("4e56042714f65b518b778bae617da416a1bbb6dbbc22be0e28fd2c0a3ca3235d",
-                  "fdc09e998393773b43f03d318e18e8e4d2f0e76e3791e9c7b85a9319a9ca0ad5"),
-    "random_60": ("d78279143d9c96f52f7e3b42eeeb08afdcb309defdf74be0d264398418bb812c",
-                  "0bca2ac98c239b912b405db21dc9442425f6593c014f134bb9a5b0266d77ad72"),
+    "wall_7_21": ("4f8d69f8196aa13efbc92ab61cafbae494ba8cde613962c801b48d144df4ecf6",
+                  "b541928be15585a653d015d573abbae94e5d52ca6b35c0798c1c1f35c11f84b3"),
+    "random_60": ("c4e1379acc15b4696a22cf509b8376f1c9478fa22b37531bae098136cf2724d2",
+                  "453939209e2e496efbc1ba6348ef988e5ab90d69eead2808e82e22bc97d7ec0d"),
 }
 
 
