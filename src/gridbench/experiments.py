@@ -180,7 +180,12 @@ def run_sweep(cfg: SweepConfig) -> ExperimentReport:
 
     rows = []
     for value, (grids, labels) in zip(cfg.values, points):
-        mean_sg = sum(sg_distance(g) for g in grids) / len(grids)
+        # added left to right, as in ``path_cost_of``: ``sum()`` of floats is
+        # compensated from Python 3.12 on and would change the last digit
+        total_sg = 0.0
+        for g in grids:
+            total_sg += sg_distance(g)
+        mean_sg = total_sg / len(grids)
         for algo in cfg.algorithms:
             # every instance slot naming a grid takes its one result, so n is kept
             per_grid = [results[id(g), algo] for g in grids]

@@ -25,7 +25,15 @@ list is a binary heap with lazy deletion: ``_heap`` holds (key, seq,
 id) entries and ``_live`` maps each queued id to the seq of the entry
 that counts (a dense list, 0 where no entry counts), so a re-push
 supersedes the earlier entry and stale entries stay in the heap (and in
-the byte count) until they surface.  A cell
+the byte count) until they surface.  The sweep in ``initial_run`` needs
+no heap (Orlin, Madduri, Subramani and Williamson, 2010): every arc
+costs 1 or sqrt(2), every key it pushes is the popped key plus one of
+the two, and popped keys never fall, so one FIFO queue per step cost
+(``ortho``, ``diag``) stays sorted by (key, seq), and popping the smaller
+of the two heads gives exactly the heap's pop order.  The entries, seqs
+and byte charges are the heap's; at the stop the rest, merged, becomes
+``_heap`` as one sorted list, which is a valid heap.  ``_run`` keeps the
+heap, because its RAISE states break that monotone order.  A cell
 walks its usable arcs through ``grid.arc_masks``, built once per planner
 and refreshed around each toggle; the cells in the 3x3 block of a toggle
 are marked dirty and, in ``_run``, walk ``_arcs`` instead, which also
@@ -34,7 +42,8 @@ lists their unusable arcs, at cost INF.
 
 from __future__ import annotations
 
-from heapq import heappop, heappush
+from collections import deque
+from heapq import heappop, heappush, merge
 
 from ..errors import InvalidCellError, NoPathError
 from ..grid import OUTSIDE, arc_masks, arc_table, refresh_arc_masks
@@ -210,14 +219,19 @@ class DStarPlanner:
             raise RuntimeError("initial_run needs a fresh planner; use replan to repair")
         self._insert(self.grid.index(self.grid.goal), 0.0)
         stop = self.grid.index(self.grid.start)
-        heap, live, tag, h, kq, back = (self._heap, self._live, self._tag, self._h, self._k,
-                                        self._back)
+        live, tag, h, kq, back = self._live, self._tag, self._h, self._k, self._back
         mask, table, probe, seq = self._mask, self._table, self.probe, self._seq
+        # one FIFO queue per step cost (see the module docstring); the goal's
+        # entry opens the orthogonal one
+        ortho, diag = deque(self._heap), deque()
         # the probe's bytes stay in locals as in ``_run``
         nbytes, peak = probe.live_bytes, probe.peak_bytes
         expanded = 0
-        while heap:
-            rh, sq, x = heappop(heap)
+        while ortho or diag:
+            if diag and (not ortho or diag[0] < ortho[0]):
+                rh, sq, x = diag.popleft()
+            else:
+                rh, sq, x = ortho.popleft()
             nbytes -= HEAP_ENTRY_BYTES
             if live[x] != sq:
                 continue
@@ -239,17 +253,20 @@ class DStarPlanner:
                     tag[y] = _OPEN
                     seq += 1
                     live[y] = seq
-                    heappush(heap, (nh, seq, y))
+                    (ortho if c == 1.0 else diag).append((nh, seq, y))
                     nbytes += HEAP_ENTRY_BYTES
             if nbytes > peak:
                 peak = nbytes
             if x == stop:
-                # drop the stale entries off the top, so they leave the heap
-                # (and the byte count) before any later push
-                while heap and live[heap[0][2]] != heap[0][1]:
-                    heappop(heap)
-                    nbytes -= HEAP_ENTRY_BYTES
                 break
+        # the rest, merged, is sorted and so a valid heap for ``_run``; its
+        # stale front entries leave it (and the byte count) before any later push
+        rest = list(merge(ortho, diag))
+        stale = 0
+        while stale < len(rest) and live[rest[stale][2]] != rest[stale][1]:
+            stale += 1
+        nbytes -= stale * HEAP_ENTRY_BYTES
+        self._heap = rest[stale:]
         self._seq, self.expanded = seq, expanded
         probe.live_bytes, probe.peak_bytes = nbytes, peak
         if tag[stop] != _CLOSED:

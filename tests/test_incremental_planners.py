@@ -30,7 +30,12 @@ from gridbench import (
     path_cost_of,
 )
 from gridbench.grid import OUTSIDE, SQRT2, arc_masks
-from gridbench.instrumentation import HEAP_ENTRY_BYTES, MAP_ENTRY_BYTES, RECORD_ENTRY_BYTES
+from gridbench.instrumentation import (
+    HEAP_ENTRY_BYTES,
+    MAP_ENTRY_BYTES,
+    RECORD_ENTRY_BYTES,
+    AllocationProbe,
+)
 from gridbench.solvers.dstar import _CLOSED, _NEW, _OPEN
 
 MAX_SIDE = 12
@@ -63,8 +68,8 @@ class _Lpa:
 
 
 class _DStar:
-    def __init__(self, grid):
-        self.p = DStarPlanner(grid)
+    def __init__(self, grid, probe=None):
+        self.p = DStarPlanner(grid, probe)
         self.p.initial_run()
         self.position = grid.start
 
@@ -357,6 +362,56 @@ def test_dstar_closed_values_are_goal_distances(corner_cutting):
             assert planner._tag[grid.index((x, y))] != _CLOSED or (x, y) in dist
     for c in closed:
         assert planner._h[grid.index(c)] == pytest.approx(dist[c], abs=1e-9), c
+
+
+class _RecordingProbe(AllocationProbe):
+    """An AllocationProbe that also logs the padded ids passed to ``expand``."""
+
+    def __init__(self):
+        super().__init__()
+        self.ids = []
+
+    def expand(self, cell=None):
+        super().expand(cell)
+        self.ids.append(cell)
+
+
+SWEEP_GRIDS = {
+    **{f"random-{seed}-{'cut' if cut else 'no-cut'}": (
+        lambda seed=seed, cut=cut: generate_random_grid(
+            RandomGridSpec(n=30 + 10 * seed, density=0.3, sg_distance=20 + 5 * seed, seed=seed),
+            allow_corner_cutting=cut))
+       for seed in range(3) for cut in (False, True)},
+    "wall_7_21": lambda: generate_wall_grid(WallGridSpec(7, 21)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP_GRIDS))
+def test_dstar_sweep_expands_in_key_order(name):
+    """``initial_run`` expands in the heap's order and leaves ``_run`` a sound heap.
+
+    The sweep pops the smaller head of one queue per step cost, so popping
+    from the wrong queue shows as a falling h.  Whatever it leaves queued
+    must be a heap with exact byte counts, which a block and a replan then
+    repair to the oracle's cost.
+    """
+    grid = SWEEP_GRIDS[name]()
+    probe = _RecordingProbe()
+    planner = _DStar(grid, probe)
+    p = planner.p
+    hs = [p._h[s] for s in probe.ids]
+    assert len(hs) == p.expanded
+    assert [i for i in range(1, len(hs)) if hs[i] < hs[i - 1]] == []
+    heap = p._heap
+    assert heap and all(heap[(i - 1) // 2] <= heap[i] for i in range(1, len(heap)))
+    _assert_open_list(planner)
+    blocked = set(grid.blocked)
+    path = _check(planner, grid, blocked)
+    cell = tuple(path[len(path) // 2])
+    planner.toggle(cell, True)
+    blocked.add(cell)
+    _check(planner, grid, blocked)
+    _assert_open_list(planner)
 
 
 def _dstar_state_digest(p):
