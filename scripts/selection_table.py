@@ -5,7 +5,10 @@ Generates a handful of random and wall environments, benchmarks the
 candidate trio (RTAA*, ARA*, D* Lite) on each, and prints one block per
 grid showing the per-priority winner, what the rule would have picked
 instead, and every candidate's measurements from the solving-time
-evaluation (the one whose times decided that verdict).
+evaluation (the one whose times decided that verdict).  The solving-time
+line also names the runner-up and how far its mean lies above the
+winner's, and says "within noise" when that gap is below the larger of
+the two candidates' standard deviations: one rerun may then reverse it.
 
 Usage:
     python scripts/selection_table.py [--reps N] [--seed N]
@@ -29,10 +32,21 @@ from gridbench import (  # noqa: E402
 from gridbench.reporting import fmt3  # noqa: E402
 
 
+def time_margin(ev):
+    """The runner-up, the winner's relative lead and whether it is within noise."""
+    stats = {c.algorithm: c.stats["solve_time_ms"] for c in ev.candidates}
+    best = stats[ev.best]
+    runner_up = min((a for a in stats if a is not ev.best), key=lambda a: stats[a].mean)
+    second = stats[runner_up]
+    gap = second.mean - best.mean
+    noise = " within noise" if gap < max(best.stddev, second.stddev) else ""
+    return f" runner-up {runner_up.label} +{100 * gap / best.mean:.1f}%{noise}"
+
+
 def describe(name, grid, reps):
     print(f"== {name}: {grid.width}x{grid.height}, "
           f"{len(grid.blocked)} blocked, start {tuple(grid.start)} goal {tuple(grid.goal)}")
-    header = f"{'priority':<12} {'suggested':<12} {'winner':<12} {'correct':<8}"
+    header = f"{'priority':<12} {'suggested':<12} {'winner':<12} {'correct':<8} margin"
     print(header)
     evaluations = {}
     for priority in Priority:
@@ -41,7 +55,8 @@ def describe(name, grid, reps):
         ev = evaluations[priority] = evaluate_selection(
             req, reps=reps if priority is Priority.SOLVING_TIME else 1)
         print(f"{priority.name:<12} {ev.selected.label:<12} {ev.best.label:<12} "
-              f"{str(ev.selected_is_best).lower():<8}")
+              f"{str(ev.selected_is_best).lower():<8}"
+              f"{time_margin(ev) if priority is Priority.SOLVING_TIME else ''}")
     print(f"{'candidate':<12} {'path_cost':>10} {'memory_kb':>10} {'time_ms':>10}")
     for cand in evaluations[Priority.SOLVING_TIME].candidates:
         print(f"{cand.algorithm.label:<12} "

@@ -10,18 +10,20 @@ Grids are immutable after construction and safe to share across workers;
 every operation here is a pure function of its arguments.
 
 The movement rule is written once per cell, in ``neighbor_cells``.  The
-solvers do not call it per expansion: each solve builds ``arc_masks``,
-one byte per padded id whose bit d says whether step d is usable, and
-walks ``arc_table(steps)[mask[i]]``, the ``(offset, cost)`` pairs of that
-byte in step order.  A planner that toggles obstacles refreshes the
-bytes around the toggle (``refresh_arc_masks``) through ``neighbor_cells``.
+solvers do not call it per expansion: each grid builds its ``arc_masks``
+once, on first read of ``Grid.masks``, one byte per padded id whose bit d
+says whether step d is usable.  Every solver walks
+``arc_table(steps)[mask[i]]``, the ``(offset, cost)`` pairs of that byte
+in step order.  A planner that toggles obstacles keeps its own copy of
+the masks and refreshes the bytes around the toggle
+(``refresh_arc_masks``) through ``neighbor_cells``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 from .errors import AdjacencyError, GridFormatError, InvalidCellError
@@ -166,7 +168,8 @@ class Grid:
     Solvers walk padded integer cell ids: ``index(c)`` is
     ``(y + 1) * (width + 2) + x + 1``, ``flags[index(c)]`` is FREE or
     BLOCKED and the border reads OUTSIDE.  ``Coord`` appears only at the
-    API boundary (start, goal, paths in and out).
+    API boundary (start, goal, paths in and out).  ``masks`` is the grid's
+    ``arc_masks``, built on first read and kept, immutable like ``flags``.
     """
 
     width: int
@@ -202,6 +205,11 @@ class Grid:
                 raise InvalidCellError(f"{name} {tuple(c)} is blocked")
         object.__setattr__(self, "flags", bytes(flags))
         object.__setattr__(self, "steps", neighbor_steps(self.width, self.allow_corner_cutting))
+
+    @cached_property
+    def masks(self) -> bytes:
+        """``arc_masks(flags, steps)`` of this grid, built once on first read."""
+        return bytes(arc_masks(self.flags, self.steps))
 
     def in_bounds(self, c) -> bool:
         return 0 <= c[0] < self.width and 0 <= c[1] < self.height

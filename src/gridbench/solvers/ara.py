@@ -21,7 +21,7 @@ from heapq import heappop, heappush
 from math import hypot
 
 from ..errors import NoPathError
-from ..grid import arc_masks, arc_table
+from ..grid import arc_table
 from ..instrumentation import (
     HEAP_ENTRY_BYTES,
     MAP_ENTRY_BYTES,
@@ -34,8 +34,8 @@ from .common import INF, SolverParams
 def run_detailed(grid, params: SolverParams, probe: AllocationProbe):
     """Returns (path, cost, expanded, iterates) with one (w, cost) per round."""
     stride = grid.width + 2
-    # the grid's arcs, built per solve like every solver's; substrate, not charged
-    mask, table = arc_masks(grid.flags, grid.steps), arc_table(grid.steps)
+    # the grid's arcs (``Grid.masks``); substrate, not charged
+    mask, table = grid.masks, arc_table(grid.steps)
     start, goal = grid.index(grid.start), grid.index(grid.goal)
     gx, gy = goal % stride, goal // stride
     size = len(grid.flags)

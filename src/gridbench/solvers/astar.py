@@ -19,7 +19,7 @@ from heapq import heappop, heappush
 from math import hypot
 
 from ..errors import NoPathError
-from ..grid import arc_masks, arc_table
+from ..grid import arc_table
 from ..instrumentation import HEAP_ENTRY_BYTES, MAP_ENTRY_BYTES, AllocationProbe
 from .common import INF, SolverParams
 
@@ -27,8 +27,8 @@ from .common import INF, SolverParams
 def run(grid, params: SolverParams, probe: AllocationProbe):
     """Returns (path, path_cost, expanded)."""
     stride = grid.width + 2
-    # the grid's arcs, built per solve like every solver's; substrate, not charged
-    mask, table = arc_masks(grid.flags, grid.steps), arc_table(grid.steps)
+    # the grid's arcs (``Grid.masks``); substrate, not charged
+    mask, table = grid.masks, arc_table(grid.steps)
     start, goal = grid.index(grid.start), grid.index(grid.goal)
     gx, gy = goal % stride, goal // stride
     size = len(grid.flags)

@@ -33,11 +33,18 @@ the two, and popped keys never fall, so one FIFO queue per step cost
 of the two heads gives exactly the heap's pop order.  The entries, seqs
 and byte charges are the heap's; at the stop the rest, merged, becomes
 ``_heap`` as one sorted list, which is a valid heap.  ``_run`` keeps the
-heap, because its RAISE states break that monotone order.  A cell
-walks its usable arcs through ``grid.arc_masks``, built once per planner
-and refreshed around each toggle; the cells in the 3x3 block of a toggle
-are marked dirty and, in ``_run``, walk ``_arcs`` instead, which also
-lists their unusable arcs, at cost INF.
+heap, because its RAISE states break that monotone order.  The sweep
+also defers the record writes it can derive.  Every push lowers h and a
+closed cell's h never falls again, so an entry is current exactly when
+its key equals its cell's h, and a cell is NEW exactly while its h is
+INF: a push writes only h, the back-pointer, the seq and the entry.  At
+the stop, k is set to h for every cell (k == h for every touched cell),
+and each cell whose current entry is left is tagged OPEN with that
+entry's seq in ``_live``; the expanded cells were tagged CLOSED at their
+pops.  A cell walks its usable arcs through the planner's copy of
+``Grid.masks``, refreshed around each toggle; the cells in the 3x3 block
+of a toggle are marked dirty and, in ``_run``, walk ``_arcs`` instead,
+which also lists their unusable arcs, at cost INF.
 """
 
 from __future__ import annotations
@@ -46,7 +53,7 @@ from collections import deque
 from heapq import heappop, heappush, merge
 
 from ..errors import InvalidCellError, NoPathError
-from ..grid import OUTSIDE, arc_masks, arc_table, refresh_arc_masks
+from ..grid import OUTSIDE, arc_table, refresh_arc_masks
 from ..instrumentation import HEAP_ENTRY_BYTES, RECORD_ENTRY_BYTES, AllocationProbe
 from .common import INF, SolverParams, path_cost_of, toggle_cell
 
@@ -60,11 +67,11 @@ class DStarPlanner:
         # padded flags of the planner's own (mutable) copy of the grid
         self._flags = bytearray(grid.flags)
         self._steps = grid.steps
-        # each cell's usable arcs (``grid.arc_masks``) over the planner's own
-        # flags; ``set_blocked`` refreshes the cells around a toggle and marks
-        # its 3x3 block dirty.  Not charged: like the flags it is substrate,
-        # not search state
-        self._mask = arc_masks(self._flags, self._steps)
+        # each cell's usable arcs over the planner's own flags, a copy of
+        # ``Grid.masks``; ``set_blocked`` refreshes the cells around a toggle
+        # and marks its 3x3 block dirty.  Not charged: like the flags it is
+        # substrate, not search state
+        self._mask = bytearray(grid.masks)
         self._table = arc_table(self._steps)
         self._dirty = bytearray(len(self._flags))
         # the record store, one slot per padded id: a cell holds a record
@@ -217,9 +224,10 @@ class DStarPlanner:
         """
         if self.expanded:
             raise RuntimeError("initial_run needs a fresh planner; use replan to repair")
-        self._insert(self.grid.index(self.grid.goal), 0.0)
+        goal = self.grid.index(self.grid.goal)
+        self._insert(goal, 0.0)
         stop = self.grid.index(self.grid.start)
-        live, tag, h, kq, back = self._live, self._tag, self._h, self._k, self._back
+        live, tag, h, back = self._live, self._tag, self._h, self._back
         mask, table, probe, seq = self._mask, self._table, self.probe, self._seq
         # one FIFO queue per step cost (see the module docstring); the goal's
         # entry opens the orthogonal one
@@ -233,35 +241,45 @@ class DStarPlanner:
             else:
                 rh, sq, x = ortho.popleft()
             nbytes -= HEAP_ENTRY_BYTES
-            if live[x] != sq:
+            # current exactly when its key is h: every push lowers h, and a
+            # closed cell's h never falls again
+            if h[x] != rh:
                 continue
-            live[x] = 0
             tag[x] = _CLOSED
             expanded += 1
             probe.live_bytes, probe.peak_bytes = nbytes, peak
             probe.expand(x)
-            # every expansion is LOWER with k == h: the steps of ``_insert``
-            # are inlined and reduce to k = h = nh
+            # every expansion is LOWER with k == h: a push writes only h, the
+            # back-pointer and its entry; k, the OPEN tags and ``_live`` are
+            # derived at the stop.  A cell with h = INF is NEW
             for off, c in table[mask[x]]:
                 y = x + off
                 nh = rh + c
-                if h[y] > nh:
-                    if tag[y] == _NEW:
+                hy = h[y]
+                if hy > nh:
+                    if hy == INF:
                         nbytes += RECORD_ENTRY_BYTES
                     back[y] = x
-                    kq[y] = h[y] = nh
-                    tag[y] = _OPEN
+                    h[y] = nh
                     seq += 1
-                    live[y] = seq
                     (ortho if c == 1.0 else diag).append((nh, seq, y))
                     nbytes += HEAP_ENTRY_BYTES
             if nbytes > peak:
                 peak = nbytes
             if x == stop:
                 break
-        # the rest, merged, is sorted and so a valid heap for ``_run``; its
-        # stale front entries leave it (and the byte count) before any later push
+        # the deferred writes: every touched cell has k == h (and the rest
+        # INF in both), the goal's entry was popped first, and each cell
+        # with a current entry left is OPEN under that entry's seq
+        self._k[:] = h
+        live[goal] = 0
         rest = list(merge(ortho, diag))
+        for k, sq, y in rest:
+            if h[y] == k:
+                tag[y] = _OPEN
+                live[y] = sq
+        # the rest is sorted and so a valid heap for ``_run``; its stale
+        # front entries leave it (and the byte count) before any later push
         stale = 0
         while stale < len(rest) and live[rest[stale][2]] != rest[stale][1]:
             stale += 1

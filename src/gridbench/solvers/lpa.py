@@ -10,8 +10,8 @@ grid that is A* from the root; after an obstacle change, ``set_blocked``
 re-queues only the affected cells.  LPA* roots the search at the start
 and aims at the goal (k_m stays 0); D* Lite (``dstar_lite``) roots it at
 the goal and aims at the moving agent.  Each planner walks its cells'
-usable arcs through ``grid.arc_masks`` of its own flag copy, and
-``set_blocked`` refreshes the masks of the cells around a toggle.
+usable arcs through its own copy of ``Grid.masks``, and ``set_blocked``
+refreshes the masks of the cells around a toggle.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from heapq import heappop, heappush
 from math import hypot
 
 from ..errors import NoPathError
-from ..grid import arc_masks, arc_table, refresh_arc_masks
+from ..grid import arc_table, refresh_arc_masks
 from ..grid import neighbor_cells  # noqa: F401  (perfbench's tracer patches this name)
 from ..instrumentation import HEAP_ENTRY_BYTES, MAP_ENTRY_BYTES, AllocationProbe
 from .common import INF, SolverParams, cells_around, toggle_cell
@@ -48,10 +48,10 @@ class GRhsPlanner:
         self._g = [INF] * size
         self._rhs = [INF] * size
         self._held = bytearray(size)
-        # each cell's usable arcs (``grid.arc_masks``) over the planner's own
-        # flags; ``set_blocked`` refreshes the cells around a toggle.  Not
-        # charged: like the flags it is substrate, not search state
-        self._mask = arc_masks(self._flags, self._steps)
+        # each cell's usable arcs over the planner's own flags, a copy of
+        # ``Grid.masks``; ``set_blocked`` refreshes the cells around a toggle.
+        # Not charged: like the flags it is substrate, not search state
+        self._mask = bytearray(grid.masks)
         self._table = arc_table(self._steps)
         # the open list is a binary heap with lazy deletion: flat
         # (k1, k2, seq, id) entries, and ``_live`` maps each queued id to the

@@ -28,7 +28,7 @@ per-cell arrays (h, g, search tree, generation counters) allocated for
 the whole grid once per solve and reset per episode by counter, so the
 live footprint scales with the grid area rather than the touched region.
 The lookahead and the backup walk each cell's usable arcs through
-``grid.arc_masks``, built once per solve and not charged.
+``Grid.masks``, built once per grid and not charged.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from heapq import heapify, heappop, heappush
 from math import hypot
 
 from ..errors import InvalidCellError, NoPathError
-from ..grid import SQRT2, arc_masks, arc_table, step_cost
+from ..grid import SQRT2, arc_table, step_cost
 from ..instrumentation import (
     ARRAY_SLOT_BYTES,
     HEAP_ENTRY_BYTES,
@@ -74,9 +74,9 @@ class RealTimeAgent:
         self._gen = [0] * size
         self._exp = [0] * size
         probe.alloc(_N_ARRAYS * self._ncells * ARRAY_SLOT_BYTES)
-        # each cell's usable arcs (``grid.arc_masks``), built once per solve;
-        # not charged: like the flags it is substrate, not search state
-        self._mask = arc_masks(grid.flags, grid.steps)
+        # each cell's usable arcs (``Grid.masks``); not charged: like the
+        # flags it is substrate, not search state
+        self._mask = grid.masks
         self._table = arc_table(grid.steps)
         self._arrays_live = True
         self._episode = 0

@@ -2,15 +2,20 @@
 
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import gridbench
+import gridbench.grid as grid_module
 from gridbench import (
     AlgorithmId,
+    DStarLitePlanner,
+    DStarPlanner,
     Grid,
+    LpaStarPlanner,
     NoPathError,
     RandomGridSpec,
     WallGridSpec,
@@ -105,3 +110,35 @@ def test_determinism_across_processes():
         assert Path(child_file).resolve() == package_file
         results.add(outcome)
     assert len(results) == 1
+
+
+def test_every_solver_shares_one_mask_build(monkeypatch):
+    # the masks are the grid's: every algorithm and every planner on one grid
+    # reads or copies them, and none rebuilds them
+    builds = []
+    build = grid_module.arc_masks
+
+    def counting(flags, steps):
+        builds.append(1)
+        return build(flags, steps)
+
+    monkeypatch.setattr(grid_module, "arc_masks", counting)
+    grid = generate_random_grid(RandomGridSpec(n=20, density=0.3, sg_distance=12, seed=1))
+    for algo in AlgorithmId:
+        solve(grid, algo)
+    for cls in (LpaStarPlanner, DStarLitePlanner):
+        cls(grid).compute()
+    DStarPlanner(grid).initial_run()
+    assert len(builds) == 1
+
+
+def test_mask_build_is_outside_the_timed_region(monkeypatch):
+    build = grid_module.arc_masks
+
+    def slow(flags, steps):
+        time.sleep(0.2)
+        return build(flags, steps)
+
+    monkeypatch.setattr(grid_module, "arc_masks", slow)
+    out = solve(Grid(5, 5, frozenset({(2, 2)}), (0, 0), (4, 4)), AlgorithmId.RTAA_STAR)
+    assert out.solve_time_ms < 100

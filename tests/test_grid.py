@@ -193,6 +193,33 @@ def _assert_arcs_match_reference(g, flags, blocked):
                 (x, y), g.width, g.height, is_free, g.allow_corner_cutting)
 
 
+class TestGridMasks:
+    """``Grid.masks``: the grid's ``arc_masks``, built once on first read."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 12), st.integers(1, 12), st.sampled_from([0.0, 0.2, 0.4]),
+           st.integers(0, 10 ** 6))
+    def test_masks_are_arc_masks(self, w, h, density, seed):
+        rng = random.Random(seed)
+        cells = [(x, y) for y in range(h) for x in range(w)]
+        blocked = frozenset(c for c in cells[1:] if rng.random() < density)
+        for corner_cutting in (False, True):
+            g = Grid(w, h, blocked, cells[0], cells[0], corner_cutting)
+            assert type(g.masks) is bytes
+            assert g.masks == bytes(arc_masks(g.flags, g.steps))
+            assert g.masks is g.masks
+
+    def test_built_masks_change_neither_equality_nor_hash(self):
+        a = Grid(6, 4, frozenset({(2, 1), (3, 2)}), (0, 0), (5, 3))
+        b = Grid(6, 4, frozenset({(2, 1), (3, 2)}), (0, 0), (5, 3))
+        assert a == b and hash(a) == hash(b)
+        a.masks
+        assert a == b and hash(a) == hash(b)
+        b.masks
+        assert a == b and hash(a) == hash(b)
+        assert a != Grid(6, 4, frozenset({(2, 1)}), (0, 0), (5, 3))
+
+
 class TestHeuristic:
     def test_three_four_five(self):
         assert euclidean_heuristic(Coord(0, 0), Coord(3, 4)) == 5.0

@@ -198,8 +198,10 @@ def _assert_masks_exact(planner):
     cell's mask must be current.  D* also marks a toggle's 3x3 block dirty
     (those cells walk ``_arcs``, which lists unusable arcs at INF): every
     cell whose flag differs from the grid's must have its block marked.
+    The planner toggles a copy: the grid's own masks stay those of its flags.
     """
     p = planner.p
+    assert p.grid.masks == bytes(arc_masks(p.grid.flags, p.grid.steps))
     fresh = arc_masks(p._flags, p._steps)
     in_grid = [s for s, f in enumerate(p._flags) if f != OUTSIDE]
     assert [s for s in in_grid if p._mask[s] != fresh[s]] == []
