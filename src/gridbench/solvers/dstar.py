@@ -18,33 +18,34 @@ no lower.  Toggles made before the run only add INF arcs, which no
 back-pointer crosses yet, so dirty cells walk their masks in the sweep
 too.  The whole record store is kept; its footprint is part of what the
 benchmarks measure.
-The store is four dense arrays indexed by padded id (tag, h, k,
-back-pointer), but the probe charges one record per cell that has left
-NEW, as a hashed store of only the touched cells would hold.  The open
-list is a binary heap with lazy deletion: ``_heap`` holds (key, seq,
-id) entries and ``_live`` maps each queued id to the seq of the entry
-that counts (a dense list, 0 where no entry counts), so a re-push
-supersedes the earlier entry and stale entries stay in the heap (and in
-the byte count) until they surface.  The sweep in ``initial_run`` needs
-no heap (Orlin, Madduri, Subramani and Williamson, 2010): every arc
-costs 1 or sqrt(2), every key it pushes is the popped key plus one of
-the two, and popped keys never fall, so one FIFO queue per step cost
-(``ortho``, ``diag``) stays sorted by (key, seq), and popping the smaller
-of the two heads gives exactly the heap's pop order.  The entries, seqs
-and byte charges are the heap's; at the stop the rest, merged, becomes
-``_heap`` as one sorted list, which is a valid heap.  ``_run`` keeps the
-heap, because its RAISE states break that monotone order.  The sweep
-also defers the record writes it can derive.  Every push lowers h and a
-closed cell's h never falls again, so an entry is current exactly when
-its key equals its cell's h, and a cell is NEW exactly while its h is
-INF: a push writes only h, the back-pointer, the seq and the entry.  At
-the stop, k is set to h for every cell (k == h for every touched cell),
-and each cell whose current entry is left is tagged OPEN with that
-entry's seq in ``_live``; the expanded cells were tagged CLOSED at their
-pops.  A cell walks its usable arcs through the planner's copy of
-``Grid.masks``, refreshed around each toggle; the cells in the 3x3 block
-of a toggle are marked dirty and, in ``_run``, walk ``_arcs`` instead,
-which also lists their unusable arcs, at cost INF.
+The store is three dense lists indexed by padded id: h, the back-pointer
+and ``_live``, each queued cell's current (k, seq, id) heap entry (None
+where no entry counts).  The tag and k of a record are read from them: a
+cell is OPEN while it has a live entry, whose key is its k; NEW while its
+h is INF and it has no back-pointer (the goal has h 0, and a cell raised
+to INF keeps its back-pointer); CLOSED otherwise.  No k but an OPEN
+cell's is ever read: a CLOSED cell is queued under min(h, new h), and a
+NEW one under its new h.  The probe charges one record per cell that has
+left NEW, as a hashed store of only the touched cells would hold.  The
+open list is a binary heap with lazy deletion: a re-push supersedes the
+earlier entry, which stays in the heap (and in the byte count) until it
+surfaces, stale because it is not its cell's live entry.  The sweep in
+``initial_run`` needs no heap (Orlin, Madduri, Subramani and Williamson,
+2010): every arc costs 1 or sqrt(2), every key it pushes is the popped
+key plus one of the two, and popped keys never fall, so one FIFO queue
+per step cost (``ortho``, ``diag``) stays sorted by (key, seq), and
+popping the smaller of the two heads gives exactly the heap's pop order.
+The entries, seqs and byte charges are the heap's; at the stop the rest,
+merged, becomes ``_heap`` as one sorted list, which is a valid heap.
+``_run`` keeps the heap, because its RAISE states break that monotone
+order.  The sweep writes no live entry per push or pop: every push
+lowers h and a closed cell's h never falls again, so an entry is current
+exactly when its key equals its cell's h, and at the stop each current
+entry left becomes its cell's live entry.  A cell walks its usable arcs
+through the planner's copy of ``Grid.masks``, refreshed around each
+toggle; the cells in the 3x3 block of a toggle are marked dirty and, in
+``_run``, walk ``_arcs`` instead, which also lists their unusable arcs,
+at cost INF.
 """
 
 from __future__ import annotations
@@ -56,8 +57,6 @@ from ..errors import InvalidCellError, NoPathError
 from ..grid import OUTSIDE, arc_table, refresh_arc_masks
 from ..instrumentation import HEAP_ENTRY_BYTES, RECORD_ENTRY_BYTES, AllocationProbe
 from .common import INF, SolverParams, path_cost_of, toggle_cell
-
-_NEW, _OPEN, _CLOSED = 0, 1, 2
 
 
 class DStarPlanner:
@@ -74,15 +73,14 @@ class DStarPlanner:
         self._mask = bytearray(grid.masks)
         self._table = arc_table(self._steps)
         self._dirty = bytearray(len(self._flags))
-        # the record store, one slot per padded id: a cell holds a record
-        # once its tag leaves _NEW, and only then is it charged to the probe
+        # the record store, one slot per padded id: h, the back-pointer and
+        # the current queue entry.  A cell holds a record once it leaves
+        # NEW, and only then is it charged to the probe
         size = len(self._flags)
-        self._tag = bytearray(size)
         self._h = [INF] * size
-        self._k = [INF] * size
         self._back = [-1] * size  # -1: no back-pointer
         self._heap = []
-        self._live = [0] * size  # seq of each queued id's current entry, 0 if none
+        self._live = [None] * size  # each queued id's current (k, seq, id) entry, None if none
         self._seq = 0
         self.expanded = 0
 
@@ -102,20 +100,15 @@ class DStarPlanner:
                 for d, (off, cost, _, _) in enumerate(self._steps) if flags[i + off] != OUTSIDE]
 
     def _insert(self, s, h_new: float) -> None:
-        tag = self._tag[s]
-        if tag == _NEW:
+        """Queue ``s`` with cost ``h_new``; a NEW cell's k is h_new, as h is INF."""
+        h, entry = self._h[s], self._live[s]
+        if h == INF and self._back[s] < 0:
             self.probe.alloc(RECORD_ENTRY_BYTES)
-            k = h_new
-        elif tag == _OPEN:
-            k = min(self._k[s], h_new)
-        else:
-            k = min(self._h[s], h_new)
-        self._k[s] = k
+        k = min(entry[0] if entry else h, h_new)
         self._h[s] = h_new
-        self._tag[s] = _OPEN
         self._seq += 1
-        self._live[s] = self._seq
-        heappush(self._heap, (k, self._seq, s))
+        entry = self._live[s] = (k, self._seq, s)
+        heappush(self._heap, entry)
         self.probe.alloc(HEAP_ENTRY_BYTES)
 
     def _run(self, stop: int) -> None:
@@ -124,8 +117,7 @@ class DStarPlanner:
         A replan stops when the least key is no less than h(stop), or the
         open list is empty.
         """
-        heap, live, tag, h, kq, back = (self._heap, self._live, self._tag, self._h, self._k,
-                                        self._back)
+        heap, live, h, back = self._heap, self._live, self._h, self._back
         mask, table, dirty, probe, seq = self._mask, self._table, self._dirty, self.probe, self._seq
         # the pops and the LOWER inserts keep the probe's bytes in locals,
         # written back before every probe call, return and raise (see
@@ -137,8 +129,8 @@ class DStarPlanner:
             # the last expansion, so they leave the heap (and the byte count)
             # before any later push
             while heap:
-                k_old, sq, x = heap[0]
-                if live[x] == sq:
+                k_old, _, x = heap[0]
+                if live[x] is heap[0]:
                     break
                 heappop(heap)
                 nbytes -= HEAP_ENTRY_BYTES
@@ -146,8 +138,7 @@ class DStarPlanner:
                 break
             heappop(heap)
             nbytes -= HEAP_ENTRY_BYTES
-            live[x] = 0
-            tag[x] = _CLOSED
+            live[x] = None
             self.expanded += 1
             probe.live_bytes, probe.peak_bytes = nbytes, peak
             probe.expand(x)
@@ -170,45 +161,43 @@ class DStarPlanner:
                     for off, c in arcs:
                         y = x + off
                         nh = rh + c
-                        if tag[y] == _NEW:
+                        if h[y] == INF and back[y] < 0:
+                            # NEW; ``insert`` must see that, so the back-pointer follows it
                             if nh < INF:
-                                back[y] = x
                                 insert(y, nh)
+                                back[y] = x
                         elif back[y] == x and h[y] != nh:
                             insert(y, nh)
                         elif back[y] != x and h[y] > nh:
                             insert(x, rh)
-                        elif back[y] != x and rh > h[y] + c and tag[y] == _CLOSED and h[y] > k_old:
+                        elif back[y] != x and rh > h[y] + c and live[y] is None and h[y] > k_old:
                             insert(y, h[y])
                     seq, nbytes, peak = self._seq, probe.live_bytes, probe.peak_bytes
                     continue
-            # LOWER: propagate the settled cost to neighbors; a cell without a
-            # record (h = INF, back = -1) gets one when nh is finite.  The
+            # LOWER: propagate the settled cost to neighbors; a NEW cell
+            # (h = INF, back = -1) gets a record when nh is finite.  The
             # steps of ``_insert`` are inlined
             for off, c in arcs:
                 y = x + off
                 nh = rh + c
+                hy = h[y]
                 if back[y] == x:
-                    if h[y] == nh:
+                    if hy == nh:
                         continue
-                elif h[y] > nh:
+                elif hy > nh:
+                    if hy == INF and back[y] < 0:
+                        nbytes += RECORD_ENTRY_BYTES
                     back[y] = x
                 else:
                     continue
-                t = tag[y]
-                if t == _NEW:
-                    nbytes += RECORD_ENTRY_BYTES
+                e = live[y]
+                k = e[0] if e else hy
+                if nh < k:
                     k = nh
-                else:
-                    k = kq[y] if t == _OPEN else h[y]
-                    if nh < k:
-                        k = nh
-                kq[y] = k
                 h[y] = nh
-                tag[y] = _OPEN
                 seq += 1
-                live[y] = seq
-                heappush(heap, (k, seq, y))
+                e = live[y] = (k, seq, y)
+                heappush(heap, e)
                 nbytes += HEAP_ENTRY_BYTES
             if nbytes > peak:
                 peak = nbytes
@@ -219,15 +208,16 @@ class DStarPlanner:
         """Settle costs outward from the goal until the start is closed.
 
         A backward uniform-cost sweep (see the module docstring for why it
-        is exact); raises NoPathError if the open list empties first.  It
-        needs a fresh planner, whose queued cells all have k == h.
+        is exact); raises NoPathError if the open list empties first, that
+        is, when the start's h is still INF.  It needs a fresh planner,
+        whose queued cells all have k == h.
         """
         if self.expanded:
             raise RuntimeError("initial_run needs a fresh planner; use replan to repair")
         goal = self.grid.index(self.grid.goal)
         self._insert(goal, 0.0)
         stop = self.grid.index(self.grid.start)
-        live, tag, h, back = self._live, self._tag, self._h, self._back
+        live, h, back = self._live, self._h, self._back
         mask, table, probe, seq = self._mask, self._table, self.probe, self._seq
         # one FIFO queue per step cost (see the module docstring); the goal's
         # entry opens the orthogonal one
@@ -245,13 +235,12 @@ class DStarPlanner:
             # closed cell's h never falls again
             if h[x] != rh:
                 continue
-            tag[x] = _CLOSED
             expanded += 1
             probe.live_bytes, probe.peak_bytes = nbytes, peak
             probe.expand(x)
             # every expansion is LOWER with k == h: a push writes only h, the
-            # back-pointer and its entry; k, the OPEN tags and ``_live`` are
-            # derived at the stop.  A cell with h = INF is NEW
+            # back-pointer and its entry; ``_live`` is derived at the stop.
+            # A cell with h = INF is NEW
             for off, c in table[mask[x]]:
                 y = x + off
                 nh = rh + c
@@ -268,39 +257,36 @@ class DStarPlanner:
                 peak = nbytes
             if x == stop:
                 break
-        # the deferred writes: every touched cell has k == h (and the rest
-        # INF in both), the goal's entry was popped first, and each cell
-        # with a current entry left is OPEN under that entry's seq
-        self._k[:] = h
-        live[goal] = 0
+        # the deferred writes: the goal's entry was popped first, and each
+        # cell with a current entry left is OPEN under that entry
+        live[goal] = None
         rest = list(merge(ortho, diag))
-        for k, sq, y in rest:
-            if h[y] == k:
-                tag[y] = _OPEN
-                live[y] = sq
+        for e in rest:
+            if h[e[2]] == e[0]:
+                live[e[2]] = e
         # the rest is sorted and so a valid heap for ``_run``; its stale
         # front entries leave it (and the byte count) before any later push
         stale = 0
-        while stale < len(rest) and live[rest[stale][2]] != rest[stale][1]:
+        while stale < len(rest) and live[rest[stale][2]] is not rest[stale]:
             stale += 1
         nbytes -= stale * HEAP_ENTRY_BYTES
         self._heap = rest[stale:]
         self._seq, self.expanded = seq, expanded
         probe.live_bytes, probe.peak_bytes = nbytes, peak
-        if tag[stop] != _CLOSED:
+        if h[stop] == INF:
             raise NoPathError(f"no path from {tuple(self.grid.start)} to {tuple(self.grid.goal)}")
 
     def set_blocked(self, cell, blocked: bool = True) -> None:
-        """Toggle an obstacle; re-queues affected CLOSED cells."""
+        """Toggle an obstacle; re-queues affected CLOSED cells (neither OPEN nor NEW)."""
         i = toggle_cell(self.grid, self._flags, cell, blocked, (self.grid.goal,),
                         "the goal must stay traversable")
-        flags = self._flags
+        flags, h, back = self._flags, self._h, self._back
         affected = [i] + [i + off for off, _, _, _ in self._steps if flags[i + off] != OUTSIDE]
         refresh_arc_masks(self._mask, affected[1:], flags, self._steps)
         for s in affected:
             self._dirty[s] = 1
-            if self._tag[s] == _CLOSED:
-                self._insert(s, self._h[s])
+            if self._live[s] is None and not (h[s] == INF and back[s] < 0):
+                self._insert(s, h[s])
 
     def _cell_id(self, cell) -> int:
         if not self.grid.in_bounds(cell):

@@ -36,7 +36,6 @@ from gridbench.instrumentation import (
     RECORD_ENTRY_BYTES,
     AllocationProbe,
 )
-from gridbench.solvers.dstar import _CLOSED, _NEW, _OPEN
 
 MAX_SIDE = 12
 
@@ -221,7 +220,7 @@ def _assert_live_bytes(planner, grid=None, blocked=None):
     """
     p = planner.p
     if isinstance(p, DStarPlanner):
-        held = RECORD_ENTRY_BYTES * sum(1 for t in p._tag if t != _NEW)
+        held = RECORD_ENTRY_BYTES * sum(1 for t in _dstar_tags(p) if t != "NEW")
     else:
         held = MAP_ENTRY_BYTES * sum(bin(b).count("1") for b in p._held)
     assert p.probe.live_bytes == held + HEAP_ENTRY_BYTES * len(p._heap)
@@ -230,11 +229,11 @@ def _assert_live_bytes(planner, grid=None, blocked=None):
 def _live_index(p):
     """The open list's index as ``{queued id: seq of its current entry}``.
 
-    D* keeps it as a dense per-cell list of seqs (0: not queued), LPA* and
-    D* Lite as a dict.
+    D* keeps it as a dense per-cell list of entries (None: not queued),
+    LPA* and D* Lite as a dict of seqs.
     """
     if isinstance(p, DStarPlanner):
-        return {s: seq for s, seq in enumerate(p._live) if seq}
+        return {s: e[1] for s, e in enumerate(p._live) if e is not None}
     return p._live
 
 
@@ -246,17 +245,16 @@ def _assert_queue_exact(planner):
     the last target move or k_m change, else at most the current key plus the
     target's move since the last k_m change (a lower bound once k_m takes that
     move in).  ``compute`` pushes a cell only when its rhs or g changes, so a
-    missed push shows here.  D*: exactly the OPEN cells are queued, each under
-    its ``_k``.
+    missed push shows here.  D*: each queued (OPEN) cell's key is at most
+    its h, since the key is the least h the cell has held while queued.
     """
     p = planner.p
     index = _live_index(p)
     live = {e[-1]: e for e in p._heap if index.get(e[-1]) == e[-2]}
     assert live.keys() == index.keys()
     if isinstance(p, DStarPlanner):
-        assert {s for s, t in enumerate(p._tag) if t == _OPEN} == live.keys()
         for s, (k, _, _) in live.items():
-            assert k == p._k[s], s
+            assert k <= p._h[s], s
         return
     assert {s for s, (g, r) in enumerate(zip(p._g, p._rhs)) if g != r} == live.keys()
     stride = p._stride
@@ -357,11 +355,12 @@ def test_dstar_closed_values_are_goal_distances(corner_cutting):
             if d + step < dist.get(m, math.inf):
                 dist[m] = d + step
                 heapq.heappush(heap, (d + step, m))
-    closed = [c for c in dist if planner._tag[grid.index(c)] == _CLOSED]
+    tags = _dstar_tags(planner)
+    closed = [c for c in dist if tags[grid.index(c)] == "CLOSED"]
     assert grid.start in closed
     for y in range(grid.height):
         for x in range(grid.width):
-            assert planner._tag[grid.index((x, y))] != _CLOSED or (x, y) in dist
+            assert tags[grid.index((x, y))] != "CLOSED" or (x, y) in dist
     for c in closed:
         assert planner._h[grid.index(c)] == pytest.approx(dist[c], abs=1e-9), c
 
