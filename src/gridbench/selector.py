@@ -96,10 +96,11 @@ def evaluate_selection(req: SelectionRequest, candidates=None,
                        params: SolverParams | None = None, reps: int = 100) -> SelectionEvaluation:
     """Benchmark the candidates on ``req.grid`` and flag whether the selection wins its metric.
 
-    Ties count as a win.  The selected algorithm joins the candidate set if
-    it is not already in it.
+    ``candidates=None`` benchmarks ``DEFAULT_CANDIDATES``; an empty
+    collection is an error.  Ties count as a win.  The selected algorithm
+    joins the candidate set if it is not already in it.
     """
-    candidates = list(candidates) if candidates else list(DEFAULT_CANDIDATES)
+    candidates = list(DEFAULT_CANDIDATES if candidates is None else candidates)
     if not candidates:
         raise InvalidSpecError("candidate list must not be empty")
     selected = select_algorithm(req)

@@ -1,3 +1,7 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -5,6 +9,7 @@ from gridbench import (
     AlgorithmId,
     Grid,
     InvalidPriorityError,
+    InvalidSpecError,
     Priority,
     RandomGridSpec,
     SelectionRequest,
@@ -74,8 +79,6 @@ class TestPriorityParsing:
             parse_priority("speed")
 
     def test_bad_threshold_rejected(self):
-        from gridbench import InvalidSpecError
-
         with pytest.raises(InvalidSpecError):
             SelectionRequest(grid=grid_with_distance(5, 0), priority=Priority.MEMORY,
                              distance_threshold=0.0)
@@ -106,6 +109,14 @@ class TestEvaluateSelection:
             AlgorithmId.RTAA_STAR, AlgorithmId.ARA_STAR, AlgorithmId.D_STAR_LITE,
         ]
 
+    @pytest.mark.parametrize("candidates", [[], ()], ids=["list", "tuple"])
+    def test_empty_candidates_rejected(self, candidates):
+        # only None means the default trio
+        req = SelectionRequest(grid=Grid(5, 5, frozenset(), (0, 0), (4, 4)),
+                               priority=Priority.MEMORY)
+        with pytest.raises(InvalidSpecError, match="must not be empty"):
+            evaluate_selection(req, candidates=candidates, reps=1)
+
     def test_dstar_lite_beats_rtaa_memory_on_dense_grid(self):
         grid = generate_random_grid(RandomGridSpec(n=40, density=0.35, sg_distance=20, seed=3))
         req = SelectionRequest(grid=grid, priority=Priority.MEMORY)
@@ -123,3 +134,17 @@ class TestEvaluateSelection:
         ev = evaluate_selection(req, reps=3)
         assert ev.selected is AlgorithmId.ARA_STAR  # distance 18 < threshold 140
         assert isinstance(ev.selected_is_best, bool)
+
+
+def test_selection_table_script_prints_five_blocks():
+    script = Path(__file__).resolve().parent.parent / "scripts" / "selection_table.py"
+    proc = subprocess.run([sys.executable, str(script), "--reps", "1"],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    blocks = proc.stdout.split("== ")[1:]
+    assert len(blocks) == 5
+    for block in blocks:
+        lines = block.strip().splitlines()
+        header = next(i for i, line in enumerate(lines) if line.startswith("candidate"))
+        assert [line.split()[0] for line in lines[2:header]] == [p.name for p in Priority]
+        assert [line[:12].strip() for line in lines[header + 1:]] == ["RTAA*", "ARA*", "D* Lite"]
