@@ -37,14 +37,14 @@ from heapq import heapify, heappop, heappush
 from math import hypot
 
 from ..errors import InvalidCellError, NoPathError
-from ..grid import SQRT2, arc_table, step_cost
+from ..grid import SQRT2, arc_table
 from ..instrumentation import (
     ARRAY_SLOT_BYTES,
     HEAP_ENTRY_BYTES,
     SET_ENTRY_BYTES,
     AllocationProbe,
 )
-from .common import INF, SolverParams
+from .common import INF, SolverParams, path_cost_of
 
 _N_ARRAYS = 5  # h, g, tree, generated-counter, expanded-counter (negated once settled)
 
@@ -82,7 +82,6 @@ class RealTimeAgent:
         self._episode = 0
         self._pos = grid.index(grid.start)
         self.path = [grid.start]
-        self.path_cost = 0.0
         self.expanded = 0
         self.done = False
         # any finite shortest path costs less than sqrt(2) x cell count;
@@ -235,9 +234,7 @@ class RealTimeAgent:
 
     def _step(self, i: int) -> None:
         """Move the agent to the adjacent cell of id ``i``."""
-        cell = self.grid.coord(i)
-        self.path_cost += step_cost(self.path[-1], cell)
-        self.path.append(cell)
+        self.path.append(self.grid.coord(i))
         self._pos = i
 
     def _chain_to(self, end: int, origin: int) -> list:
@@ -307,7 +304,7 @@ class RealTimeAgent:
     def run(self):
         while not self.run_episode():
             pass
-        return self.path, self.path_cost, self.expanded
+        return self.path, path_cost_of(self.path), self.expanded
 
 
 def run_lrta(grid, params: SolverParams, probe: AllocationProbe):
