@@ -206,7 +206,7 @@ def test_criterion_8_distance_trend():
             AlgorithmId.D_STAR_LITE,
         ),
         instances_per_point=5,
-        reps=5,
+        reps=1,
         seed=0,
     )
     report = run_sweep(cfg)
