@@ -24,6 +24,7 @@ import random
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from heapq import heappop, heappush
+from itertools import chain
 
 from . import grid as gridmod
 from .errors import GenerationError, InvalidSpecError
@@ -77,11 +78,17 @@ def obstacle_count(n: int, density: float) -> int:
 
 @lru_cache(maxsize=64)
 def _distance_ring(n: int, sg_distance: float) -> tuple:
-    """Integer offsets whose length is within 0.5 of sg_distance."""
+    """Integer offsets whose length is within 0.5 of sg_distance, row by row.
+
+    isqrt bounds each row's |dx| one wider on each side than the exact
+    test needs, since hypot is within an ulp of the true length.
+    """
     lo, hi = sg_distance - 0.5, sg_distance + 0.5
     ring = []
     for dy in range(-(n - 1), n):
-        for dx in range(-(n - 1), n):
+        far = min(n - 1, math.isqrt(max(0, math.ceil(hi * hi) - dy * dy)) + 1)
+        near = max(0, math.isqrt(max(0, math.floor(lo * lo) - dy * dy)) - 1)
+        for dx in chain(range(-far, -near + 1), range(max(near, 1), far + 1)):
             if lo <= math.hypot(dx, dy) <= hi:
                 ring.append((dx, dy))
     return tuple(ring)
@@ -125,7 +132,6 @@ def generate_random_grid(spec: RandomGridSpec, allow_corner_cutting: bool = Fals
     n = spec.n
     target = obstacle_count(n, spec.density)
     ring = _distance_ring(n, spec.sg_distance)
-    new = tuple.__new__  # a Coord without NamedTuple's argument handling
     for _ in range(MAX_GENERATION_ATTEMPTS):
         # every draw is min(int(rand() * k), k - 1): uniform on 0 .. k-1
         sx = min(int(rand() * n), n - 1)
@@ -150,8 +156,8 @@ def generate_random_grid(spec: RandomGridSpec, allow_corner_cutting: bool = Fals
             if j == m:  # the same clamp as min(..., k - 1), without the call
                 j -= 1
             cells[i], cells[j] = cells[j], cells[i]
-        blocked = frozenset([new(Coord, (c % n, c // n)) for c in cells[:target]])
-        grid = Grid(n, n, blocked, Coord(sx, sy), Coord(gx, gy), allow_corner_cutting)
+        blocked = ((c % n, c // n) for c in cells[:target])
+        grid = Grid(n, n, blocked, (sx, sy), (gx, gy), allow_corner_cutting)
         if is_solvable(grid):
             return grid
     raise GenerationError(
@@ -171,19 +177,13 @@ def generate_instance_set(spec: RandomGridSpec, count: int,
 
 
 def generate_wall_grid(spec: WallGridSpec, allow_corner_cutting: bool = False) -> Grid:
-    blocked = set()
+    blocked = []
     for k in range(1, spec.num_walls + 1):
-        y = WALL_ROW_SPACING * k
-        if k % 2 == 1:
-            xs = range(0, spec.wall_length)
-        else:
-            xs = range(WALL_GRID_WIDTH - spec.wall_length, WALL_GRID_WIDTH)
-        for x in xs:
-            blocked.add(Coord(x, y))
-    grid = Grid(
-        WALL_GRID_WIDTH, WALL_GRID_HEIGHT, frozenset(blocked),
-        WALL_GRID_START, WALL_GRID_GOAL, allow_corner_cutting,
-    )
+        # odd walls start at the left edge, even ones end at the right edge
+        x0 = 0 if k % 2 == 1 else WALL_GRID_WIDTH - spec.wall_length
+        blocked.extend((x, WALL_ROW_SPACING * k) for x in range(x0, x0 + spec.wall_length))
+    grid = Grid(WALL_GRID_WIDTH, WALL_GRID_HEIGHT, blocked, WALL_GRID_START, WALL_GRID_GOAL,
+                allow_corner_cutting)
     if not is_solvable(grid):
         raise GenerationError(f"wall grid for {spec} is unsolvable")
     return grid

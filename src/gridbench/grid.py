@@ -7,7 +7,9 @@ cells are traversable ("no corner cutting"), unless the grid was built
 with ``allow_corner_cutting=True``.
 
 Grids are immutable after construction and safe to share across workers;
-every operation here is a pure function of its arguments.
+every operation here is a pure function of its arguments.  The padded
+flag array ``Grid.flags`` is a grid's only copy of its obstacles;
+``Grid.blocked`` is derived from it on first read, outside equality and hashing.
 
 The movement rule is written once per cell, in ``neighbor_cells``.  The
 solvers do not call it per expansion: each grid builds its ``arc_masks``
@@ -24,6 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from itertools import chain, compress, repeat
 from typing import NamedTuple
 
 from .errors import AdjacencyError, GridFormatError, InvalidCellError
@@ -158,53 +161,60 @@ def arc_table(steps) -> tuple:
                  for m in range(256))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Grid:
-    """Immutable rectangular cell world with a blocked set and start/goal.
+    """Immutable rectangular cell world: its obstacles, a start and a goal.
 
     start == goal is permitted only as the explicit trivial case; the text
     format cannot express it (exactly one 'S' and one 'G').
 
-    Solvers walk padded integer cell ids: ``index(c)`` is
-    ``(y + 1) * (width + 2) + x + 1``, ``flags[index(c)]`` is FREE or
-    BLOCKED and the border reads OUTSIDE.  ``Coord`` appears only at the
-    API boundary (start, goal, paths in and out).  ``masks`` is the grid's
-    ``arc_masks``, built on first read and kept, immutable like ``flags``.
+    ``blocked`` may be any iterable of (x, y) pairs: the grid writes each
+    pair's flag and keeps no copy.  Solvers walk padded integer cell ids:
+    ``index(c)`` is ``(y + 1) * (width + 2) + x + 1``, ``flags[index(c)]``
+    is FREE or BLOCKED and the border reads OUTSIDE.  ``flags`` is the
+    grid's only copy of its obstacles.  ``Coord`` appears only at the API
+    boundary (start, goal, paths in and out, ``blocked``).  ``blocked`` (a
+    frozenset of ``Coord``) and ``masks`` (its ``arc_masks``) are derived
+    from ``flags`` on first read and kept, outside equality and hashing.
     """
 
     width: int
     height: int
-    blocked: frozenset
+    flags: bytes = field(repr=False)
     start: Coord
     goal: Coord
-    allow_corner_cutting: bool = False
-    flags: bytes = field(init=False, repr=False, compare=False)
-    steps: tuple = field(init=False, repr=False, compare=False)
+    allow_corner_cutting: bool
+    steps: tuple = field(repr=False, compare=False)
 
-    def __post_init__(self):
-        if self.width < 1 or self.height < 1:
-            raise InvalidCellError(f"degenerate grid {self.width}x{self.height}")
-        object.__setattr__(self, "blocked", frozenset(
-            c if type(c) is Coord else Coord(c[0], c[1]) for c in self.blocked))
-        object.__setattr__(self, "start", Coord(self.start[0], self.start[1]))
-        object.__setattr__(self, "goal", Coord(self.goal[0], self.goal[1]))
-        stride = self.width + 2
-        flags = bytearray([OUTSIDE]) * (stride * (self.height + 2))
-        for y in range(1, self.height + 1):
-            flags[y * stride + 1:y * stride + 1 + self.width] = bytes(self.width)
-        width, height = self.width, self.height
-        for x, y in self.blocked:
+    def __init__(self, width, height, blocked, start, goal, allow_corner_cutting=False):
+        if width < 1 or height < 1:
+            raise InvalidCellError(f"degenerate grid {width}x{height}")
+        stride = width + 2
+        side = bytes([OUTSIDE])
+        flags = bytearray(side * stride + (side + bytes(width) + side) * height + side * stride)
+        for x, y in blocked:
             if not (0 <= x < width and 0 <= y < height):
                 raise InvalidCellError(f"blocked cell {(x, y)} out of bounds")
             flags[(y + 1) * stride + x + 1] = BLOCKED
-        for name in ("start", "goal"):
-            c = getattr(self, name)
+        # the fields are frozen, so they are written to the instance dict
+        vars(self).update(width=width, height=height, flags=bytes(flags),
+                          allow_corner_cutting=allow_corner_cutting,
+                          steps=neighbor_steps(width, allow_corner_cutting))
+        for name, c in (("start", start), ("goal", goal)):
             if not self.in_bounds(c):
                 raise InvalidCellError(f"{name} {tuple(c)} out of bounds")
-            if c in self.blocked:
+            if flags[self.index(c)]:
                 raise InvalidCellError(f"{name} {tuple(c)} is blocked")
-        object.__setattr__(self, "flags", bytes(flags))
-        object.__setattr__(self, "steps", neighbor_steps(self.width, self.allow_corner_cutting))
+            vars(self)[name] = Coord(c[0], c[1])
+
+    @cached_property
+    def blocked(self) -> frozenset:
+        """The blocked cells as ``Coord``, read from ``flags`` a row at a time."""
+        width, stride = self.width, self.width + 2
+        rows = (zip(compress(range(width), self.flags[i:i + width]), repeat(y))
+                for y, i in enumerate(range(stride + 1, stride * (self.height + 1), stride)))
+        # tuple.__new__ makes a Coord without NamedTuple's argument handling
+        return frozenset(map(tuple.__new__, repeat(Coord), chain.from_iterable(rows)))
 
     @cached_property
     def masks(self) -> bytes:
@@ -215,7 +225,7 @@ class Grid:
         return 0 <= c[0] < self.width and 0 <= c[1] < self.height
 
     def is_traversable(self, c) -> bool:
-        return self.in_bounds(c) and (c[0], c[1]) not in self.blocked
+        return self.in_bounds(c) and not self.flags[self.index(c)]
 
     def index(self, c) -> int:
         """Padded id of an in-bounds cell."""
@@ -241,23 +251,17 @@ class Grid:
 # '.' traversable, '#' blocked, 'S' start, 'G' goal.
 # ---------------------------------------------------------------------------
 
+_TEXT = bytes.maketrans(bytes([FREE, BLOCKED]), b".#")  # flags.translate() table
+
+
 def format_grid(grid: Grid) -> str:
     if grid.start == grid.goal:
         raise GridFormatError("text format cannot express start == goal")
-    rows = []
-    for y in range(grid.height):
-        row = []
-        for x in range(grid.width):
-            if (x, y) == grid.start:
-                row.append("S")
-            elif (x, y) == grid.goal:
-                row.append("G")
-            elif (x, y) in grid.blocked:
-                row.append("#")
-            else:
-                row.append(".")
-        rows.append("".join(row))
-    return f"{grid.width} {grid.height}\n" + "\n".join(rows) + "\n"
+    cells = bytearray(grid.flags.translate(_TEXT))
+    cells[grid.index(grid.start)], cells[grid.index(grid.goal)] = b"SG"
+    width, stride = grid.width, grid.width + 2
+    rows = [cells[i:i + width].decode() for i in range(stride + 1, stride * (grid.height + 1), stride)]
+    return f"{width} {grid.height}\n" + "\n".join(rows) + "\n"
 
 
 def parse_grid(text: str, allow_corner_cutting: bool = False) -> Grid:
@@ -278,7 +282,7 @@ def parse_grid(text: str, allow_corner_cutting: bool = False) -> Grid:
         raise GridFormatError(f"expected {height} rows, got {len(body)}")
     if any(row.strip() for row in body[height:]):
         raise GridFormatError(f"trailing content after row {height}")
-    blocked = set()
+    blocked = []
     start = goal = None
     for y in range(height):
         row = body[y]
@@ -286,7 +290,7 @@ def parse_grid(text: str, allow_corner_cutting: bool = False) -> Grid:
             raise GridFormatError(f"line {y + 2}: expected {width} chars, got {len(row)}")
         for x, ch in enumerate(row):
             if ch == "#":
-                blocked.add(Coord(x, y))
+                blocked.append((x, y))
             elif ch == "S":
                 if start is not None:
                     raise GridFormatError(f"line {y + 2}: duplicate 'S'")
@@ -299,7 +303,7 @@ def parse_grid(text: str, allow_corner_cutting: bool = False) -> Grid:
                 raise GridFormatError(f"line {y + 2}: bad character {ch!r}")
     if start is None or goal is None:
         raise GridFormatError("grid must contain exactly one 'S' and one 'G'")
-    return Grid(width, height, frozenset(blocked), start, goal, allow_corner_cutting)
+    return Grid(width, height, blocked, start, goal, allow_corner_cutting)
 
 
 def save_grid(grid: Grid, path) -> None:

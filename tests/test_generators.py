@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 from collections import deque
 
 import pytest
@@ -21,7 +22,8 @@ from gridbench import (
     obstacle_count,
     wall_length_sequence,
 )
-from gridbench.grid import NEIGHBOR_STEPS
+from gridbench.generators import _distance_ring
+from gridbench.grid import NEIGHBOR_STEPS, SQRT2
 from helpers import grid_neighbors
 
 
@@ -78,6 +80,27 @@ class TestRandomGrids:
         assert g.start not in g.blocked and g.goal not in g.blocked
         assert abs(euclidean_heuristic(g.start, g.goal) - sg) <= 0.5
         assert is_solvable(g)
+
+
+class TestDistanceRing:
+    """``_distance_ring`` bounds each row with isqrt; the full scan is the reference."""
+
+    @staticmethod
+    def full_scan(n, sg_distance):
+        lo, hi = sg_distance - 0.5, sg_distance + 0.5
+        return tuple((dx, dy) for dy in range(-(n - 1), n) for dx in range(-(n - 1), n)
+                     if lo <= math.hypot(dx, dy) <= hi)
+
+    @pytest.mark.parametrize("n", [3, 4, 7, 16, 41])
+    def test_matches_full_scan(self, n):
+        top = SQRT2 * (n - 1)
+        distances = {0.0, 0.25, top, top - 0.5, math.nextafter(top, 0.0)}
+        for k in range(2 * n):
+            for d in (float(k), k + 0.5):
+                distances |= {d, math.nextafter(d, 0.0), math.nextafter(d, math.inf),
+                              d - 1e-9, d + 1e-9}
+        for d in sorted(x for x in distances if 0.0 <= x <= top):
+            assert _distance_ring.__wrapped__(n, d) == self.full_scan(n, d), (n, d)
 
 
 class TestInstanceSets:

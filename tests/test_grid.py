@@ -6,13 +6,17 @@ from hypothesis import example, given, settings, strategies as st
 
 from gridbench import (
     AdjacencyError,
+    AlgorithmId,
     Coord,
     Grid,
     GridFormatError,
     InvalidCellError,
+    RandomGridSpec,
     euclidean_heuristic,
     format_grid,
+    generate_random_grid,
     parse_grid,
+    solve,
     step_cost,
 )
 from gridbench.grid import BLOCKED, FREE, arc_masks, arc_table, neighbor_cells
@@ -218,6 +222,62 @@ class TestGridMasks:
         b.masks
         assert a == b and hash(a) == hash(b)
         assert a != Grid(6, 4, frozenset({(2, 1)}), (0, 0), (5, 3))
+
+
+class TestOneCopyGrid:
+    """``flags`` is the grid's one copy of its obstacles; ``blocked`` is read from it."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_grids())
+    def test_rebuilt_from_blocked_is_equal(self, g):
+        h = Grid(g.width, g.height, g.blocked, g.start, g.goal, g.allow_corner_cutting)
+        assert h == g and hash(h) == hash(g) and h.flags == g.flags
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_grids())
+    def test_blocked_is_a_frozenset_of_coords(self, g):
+        assert type(g.blocked) is frozenset
+        assert all(type(c) is Coord for c in g.blocked)
+        assert g.blocked == {(x, y) for y in range(g.height) for x in range(g.width)
+                             if g.flags[g.index((x, y))] == BLOCKED}
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_grids())
+    def test_is_traversable_agrees_with_blocked(self, g):
+        # two cells beyond the border too, where a flag read alone would wrap
+        for y in range(-3, g.height + 3):
+            for x in range(-3, g.width + 3):
+                c = Coord(x, y)
+                assert g.is_traversable(c) == (g.in_bounds(c) and c not in g.blocked)
+
+    @settings(max_examples=100, deadline=None)
+    @given(small_grids())
+    def test_generator_accepted_as_blocked(self, g):
+        h = Grid(g.width, g.height, ((c[0], c[1]) for c in g.blocked), g.start, g.goal,
+                 g.allow_corner_cutting)
+        assert h == g and h.blocked == g.blocked
+
+    @settings(max_examples=100, deadline=None)
+    @given(small_grids(), st.data())
+    def test_invalid_cells_still_raise(self, g, data):
+        w, h, cc = g.width, g.height, g.allow_corner_cutting
+        outside = data.draw(st.sampled_from([(-1, 0), (0, -1), (w, 0), (0, h), (w + 3, h + 3)]))
+        with pytest.raises(InvalidCellError):
+            Grid(w, h, iter([*g.blocked, outside]), g.start, g.goal, cc)
+        for name in ("start", "goal"):
+            with pytest.raises(InvalidCellError):
+                Grid(w, h, g.blocked | {getattr(g, name)}, g.start, g.goal, cc)
+            with pytest.raises(InvalidCellError):
+                Grid(w, h, g.blocked, **{"start": g.start, "goal": g.goal, name: outside},
+                     allow_corner_cutting=cc)
+
+    def test_blocked_is_built_only_when_read(self):
+        g = generate_random_grid(RandomGridSpec(n=30, density=0.25, sg_distance=12, seed=3))
+        for algo in AlgorithmId:
+            solve(g, algo)
+        format_grid(g)
+        assert "blocked" not in vars(g)
+        assert g.blocked is g.blocked and "blocked" in vars(g)
 
 
 class TestHeuristic:
