@@ -179,7 +179,6 @@ def generate_instance_set(spec: RandomGridSpec, count: int,
 def generate_wall_grid(spec: WallGridSpec, allow_corner_cutting: bool = False) -> Grid:
     blocked = []
     for k in range(1, spec.num_walls + 1):
-        # odd walls start at the left edge, even ones end at the right edge
         x0 = 0 if k % 2 == 1 else WALL_GRID_WIDTH - spec.wall_length
         blocked.extend((x, WALL_ROW_SPACING * k) for x in range(x0, x0 + spec.wall_length))
     grid = Grid(WALL_GRID_WIDTH, WALL_GRID_HEIGHT, blocked, WALL_GRID_START, WALL_GRID_GOAL,
