@@ -4,9 +4,16 @@ Random family: n x n grids with an exact obstacle count
 floor(density * (n^2 - 2) + 0.5), obstacles drawn uniformly without
 replacement from all cells except start and goal, and a start/goal pair
 whose Euclidean separation lands within 0.5 of the requested distance.
-Draws that leave the goal unreachable are rejected wholesale; the
-reachability check is a best-first search toward the goal that stops as
-soon as it gets there.
+Draws that leave the goal unreachable are rejected wholesale.  The
+reachability check runs two best-first searches in turn, one from the
+start toward the goal and one from the goal toward the start: it answers
+yes when they meet and no when either runs out of cells, so a sealed
+start or goal costs a few expansions, not a flood of the other side.
+
+The obstacle draw is a partial Fisher-Yates shuffle of the cell ids that
+writes each drawn cell straight into row-major flag bytes, which
+``Grid.from_cells`` pads into the grid: no (x, y) pair is made per
+obstacle.
 
 Wall family: fixed 31-wide x 71-tall grids with full-width-minus-gap
 horizontal walls every 10 rows, anchored to the left edge on odd rows
@@ -28,7 +35,7 @@ from itertools import chain
 
 from . import grid as gridmod
 from .errors import GenerationError, InvalidSpecError
-from .grid import SQRT2, Coord, Grid, euclidean_heuristic
+from .grid import BLOCKED, SQRT2, Coord, Grid, euclidean_heuristic
 
 MAX_GENERATION_ATTEMPTS = 1000
 
@@ -97,11 +104,17 @@ def _distance_ring(n: int, sg_distance: float) -> tuple:
 def is_solvable(grid: Grid) -> bool:
     """Whether the goal is reachable from the start.
 
-    Reachability is yes or no, so any search that stops at the goal
-    answers it.  This one is best-first on squared straight-line distance
-    to the goal: on an open grid it walks a narrow band toward the goal
-    instead of flooding a disc around the start.  When the goal is cut
-    off it still visits the whole of the start's component.
+    Reachability is yes or no, so any search that stops when it links the
+    two answers it.  Two best-first searches take turns, one expansion
+    each: one from the start on squared straight-line distance to the
+    goal, one from the goal on squared distance to the start.  On an open
+    grid each walks a narrow band toward the other.  They share one
+    ``seen`` array, marked 1 by the start's side and 2 by the goal's: the
+    answer is yes when either side reaches a cell the other has seen, and
+    no as soon as either side runs out of cells, because that side has
+    then visited its whole component.  So a sealed start or goal is
+    answered in a few expansions, and a cut-off pair costs at most about
+    twice the smaller of the two components.
     """
     if grid.start == grid.goal:
         return True
@@ -110,21 +123,24 @@ def is_solvable(grid: Grid) -> bool:
     neighbors = gridmod.neighbor_cells
     stride, size = grid.width + 2, len(flags)
     start, goal = grid.index(grid.start), grid.index(grid.goal)
-    gy, gx = divmod(goal, stride)
     seen = bytearray(size)
-    seen[start] = 1
+    seen[start], seen[goal] = 1, 2
     # a heap entry is one int, squared distance * size + id: it orders by
     # distance, then id, and costs less to push and pop than a tuple
-    heap = [start]
-    while heap:
-        for n, _ in neighbors(heappop(heap) % size, flags, steps):
-            if n == goal:
-                return True
-            if not seen[n]:
-                seen[n] = 1
-                y, x = divmod(n, stride)
-                heappush(heap, ((x - gx) ** 2 + (y - gy) ** 2) * size + n)
-    return False
+    sides = (([start], 1, 2, *divmod(goal, stride)),
+             ([goal], 2, 1, *divmod(start, stride)))
+    while True:
+        for heap, mine, theirs, ty, tx in sides:
+            if not heap:
+                return False
+            for n, _ in neighbors(heappop(heap) % size, flags, steps):
+                mark = seen[n]
+                if mark == theirs:
+                    return True
+                if not mark:
+                    seen[n] = mine
+                    y, x = divmod(n, stride)
+                    heappush(heap, ((x - tx) ** 2 + (y - ty) ** 2) * size + n)
 
 
 def generate_random_grid(spec: RandomGridSpec, allow_corner_cutting: bool = False) -> Grid:
@@ -149,15 +165,19 @@ def generate_random_grid(spec: RandomGridSpec, allow_corner_cutting: bool = Fals
         cells = list(range(n * n))
         for i in sorted({sy * n + sx, gy * n + gx}, reverse=True):
             del cells[i]
-        # partial Fisher-Yates: first `target` positions become the blocked set
+        # partial Fisher-Yates: the first `target` positions become the blocked
+        # set.  Position i is final after its swap and never read again, so
+        # its cell goes straight into the row-major flag bytes and only
+        # position j is written back.
+        blk = bytearray(n * n)
         m = len(cells)
         for i in range(target):
             j = i + int(rand() * (m - i))
             if j == m:  # the same clamp as min(..., k - 1), without the call
                 j -= 1
-            cells[i], cells[j] = cells[j], cells[i]
-        blocked = ((c % n, c // n) for c in cells[:target])
-        grid = Grid(n, n, blocked, (sx, sy), (gx, gy), allow_corner_cutting)
+            blk[cells[j]] = BLOCKED
+            cells[j] = cells[i]
+        grid = Grid.from_cells(n, n, blk, (sx, sy), (gx, gy), allow_corner_cutting)
         if is_solvable(grid):
             return grid
     raise GenerationError(

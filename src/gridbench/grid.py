@@ -10,6 +10,9 @@ Grids are immutable after construction and safe to share across workers;
 every operation here is a pure function of its arguments.  The padded
 flag array ``Grid.flags`` is a grid's only copy of its obstacles;
 ``Grid.blocked`` is derived from it on first read, outside equality and hashing.
+Both constructors build the flags the same way: ``Grid.from_cells`` takes
+row-major cell bytes, the ``Grid(...)`` constructor writes its (x, y) pairs
+into such bytes, and one join of row slices pads them with the border.
 
 The movement rule is written once per cell, in ``neighbor_cells``.  The
 solvers do not call it per expansion: each grid builds its ``arc_masks``
@@ -116,6 +119,10 @@ def neighbor_cells(i: int, flags, steps) -> list[tuple[int, float]]:
     return out
 
 
+_OUTSIDE = bytes([OUTSIDE])
+# cells.translate(None, _CELL_BYTES) deletes these: any byte left is invalid
+_CELL_BYTES = bytes([FREE, BLOCKED])
+
 # flags.translate() table: FREE -> 1, BLOCKED and OUTSIDE -> 0
 _FREE_BYTE = bytes([1]) + bytes(255)
 
@@ -169,7 +176,9 @@ class Grid:
     format cannot express it (exactly one 'S' and one 'G').
 
     ``blocked`` may be any iterable of (x, y) pairs: the grid writes each
-    pair's flag and keeps no copy.  Solvers walk padded integer cell ids:
+    pair's flag and keeps no copy.  ``from_cells`` takes the obstacles as
+    row-major cell bytes instead, and both pad them into ``flags`` in
+    ``_build``.  Solvers walk padded integer cell ids:
     ``index(c)`` is ``(y + 1) * (width + 2) + x + 1``, ``flags[index(c)]``
     is FREE or BLOCKED and the border reads OUTSIDE.  ``flags`` is the
     grid's only copy of its obstacles.  ``Coord`` appears only at the API
@@ -187,17 +196,41 @@ class Grid:
     steps: tuple = field(repr=False, compare=False)
 
     def __init__(self, width, height, blocked, start, goal, allow_corner_cutting=False):
-        if width < 1 or height < 1:
-            raise InvalidCellError(f"degenerate grid {width}x{height}")
-        stride = width + 2
-        side = bytes([OUTSIDE])
-        flags = bytearray(side * stride + (side + bytes(width) + side) * height + side * stride)
+        # a degenerate size leaves no cell in bounds; _build reports it
+        cells = bytearray(max(width, 0) * max(height, 0))
         for x, y in blocked:
             if not (0 <= x < width and 0 <= y < height):
                 raise InvalidCellError(f"blocked cell {(x, y)} out of bounds")
-            flags[(y + 1) * stride + x + 1] = BLOCKED
+            cells[y * width + x] = BLOCKED
+        self._build(width, height, cells, start, goal, allow_corner_cutting)
+
+    @classmethod
+    def from_cells(cls, width, height, cells, start, goal, allow_corner_cutting=False):
+        """A grid from ``width * height`` row-major cell bytes, FREE or BLOCKED.
+
+        Byte ``y * width + x`` is the flag of cell (x, y).  The bytes are
+        padded into ``flags`` and not kept.
+        """
+        grid = cls.__new__(cls)
+        grid._build(width, height, cells, start, goal, allow_corner_cutting)
+        return grid
+
+    def _build(self, width, height, cells, start, goal, allow_corner_cutting):
+        """Check the row-major cell bytes and pad them with OUTSIDE into ``flags``."""
+        if width < 1 or height < 1:
+            raise InvalidCellError(f"degenerate grid {width}x{height}")
+        if len(cells) != width * height:
+            raise InvalidCellError(f"{len(cells)} cell bytes for a {width}x{height} grid")
+        if cells.translate(None, _CELL_BYTES):
+            raise InvalidCellError("cell bytes must be FREE or BLOCKED")
+        stride = width + 2
+        # the top border and the left of row 0, the rows joined by a right and
+        # a left border, then the right of the last row and the bottom border
+        edge = _OUTSIDE * (stride + 1)
+        rows = (cells[i:i + width] for i in range(0, width * height, width))
+        flags = edge + (_OUTSIDE * 2).join(rows) + edge
         # the fields are frozen, so they are written to the instance dict
-        vars(self).update(width=width, height=height, flags=bytes(flags),
+        vars(self).update(width=width, height=height, flags=flags,
                           allow_corner_cutting=allow_corner_cutting,
                           steps=neighbor_steps(width, allow_corner_cutting))
         for name, c in (("start", start), ("goal", goal)):

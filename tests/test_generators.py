@@ -22,6 +22,7 @@ from gridbench import (
     obstacle_count,
     wall_length_sequence,
 )
+from gridbench import grid as gridmod
 from gridbench.generators import _distance_ring
 from gridbench.grid import NEIGHBOR_STEPS, SQRT2
 from helpers import grid_neighbors
@@ -228,6 +229,35 @@ class TestSolvability:
     @given(solvability_grids())
     def test_matches_reference_bfs(self, g):
         assert is_solvable(g) == reference_reachable(g)
+
+    @pytest.mark.parametrize("end", ["goal", "start"])
+    def test_sealed_end_answered_at_once(self, end, monkeypatch):
+        # the reference grid with the start or the goal ringed by blocked cells
+        g = generate_random_grid(RandomGridSpec(300, 0.25, 140.0, 0))
+        x, y = getattr(g, end)
+        ring = {(x + dx, y + dy) for dx, dy, _ in NEIGHBOR_STEPS}
+        sealed = Grid(g.width, g.height, g.blocked | {c for c in ring if g.in_bounds(c)},
+                      g.start, g.goal)
+        calls = []
+        neighbor_cells = gridmod.neighbor_cells
+
+        def counted(*args):
+            calls.append(args[0])
+            return neighbor_cells(*args)
+
+        monkeypatch.setattr(gridmod, "neighbor_cells", counted)
+        assert not is_solvable(sealed)
+        assert len(calls) <= 4
+        calls.clear()
+        assert is_solvable(g) and len(calls) > 4
+
+    def test_generator_builds_from_cell_bytes(self, monkeypatch):
+        def no_pairs(*args, **kwargs):
+            raise AssertionError("Grid built from (x, y) pairs")
+
+        monkeypatch.setattr(Grid, "__init__", no_pairs)
+        g = generate_random_grid(RandomGridSpec(n=20, density=0.3, sg_distance=10, seed=2))
+        assert len(g.blocked) == obstacle_count(20, 0.3)
 
 
 def grid_digest(grid) -> str:

@@ -280,6 +280,71 @@ class TestOneCopyGrid:
         assert g.blocked is g.blocked and "blocked" in vars(g)
 
 
+@st.composite
+def cell_bytes_grids(draw):
+    """Row-major cell bytes with a free start and goal; one side often 1."""
+    w, h = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    w, h = draw(st.sampled_from([(w, h), (1, h), (w, 1)]))
+    cells = bytearray(draw(st.lists(st.sampled_from([FREE, BLOCKED]),
+                                    min_size=w * h, max_size=w * h)))
+    start = draw(st.integers(0, w * h - 1))
+    goal = draw(st.integers(0, w * h - 1))
+    cells[start] = cells[goal] = FREE
+    return w, h, bytes(cells), (start % w, start // w), (goal % w, goal // w)
+
+
+class TestFromCells:
+    """``Grid.from_cells`` pads row-major bytes into the same grid the pairs build."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(cell_bytes_grids(), st.booleans())
+    @example((1, 1, b"\0", (0, 0), (0, 0)), False)
+    @example((1, 5, b"\0\1\0\1\0", (0, 0), (0, 4)), True)
+    @example((5, 1, b"\0\1\1\0\0", (0, 0), (4, 0)), False)
+    def test_equals_pairs_constructor(self, case, corner_cutting):
+        w, h, cells, start, goal = case
+        pairs = [(i % w, i // w) for i, b in enumerate(cells) if b == BLOCKED]
+        a = Grid.from_cells(w, h, cells, start, goal, corner_cutting)
+        b = Grid(w, h, pairs, start, goal, corner_cutting)
+        assert a == b and hash(a) == hash(b)
+        assert type(a.flags) is bytes and a.flags == b.flags
+        assert a.masks == b.masks
+        assert a.blocked == frozenset(pairs)
+        assert a.steps == b.steps and a.start == start and a.goal == goal
+        assert Grid.from_cells(w, h, bytearray(cells), start, goal, corner_cutting) == a
+
+    def test_padding_layout(self):
+        g = Grid.from_cells(3, 2, bytes([0, 1, 0, 1, 0, 0]), (0, 0), (2, 1))
+        assert g.flags == bytes([2, 2, 2, 2, 2,
+                                 2, 0, 1, 0, 2,
+                                 2, 1, 0, 0, 2,
+                                 2, 2, 2, 2, 2])
+
+    @pytest.mark.parametrize("cells", [
+        bytes(11), bytes(13), b"",  # wrong length for 4x3
+        bytes(5) + b"\2" + bytes(6), bytes(11) + b"\xff",  # not FREE or BLOCKED
+    ])
+    def test_bad_cells_raise(self, cells):
+        with pytest.raises(InvalidCellError):
+            Grid.from_cells(4, 3, cells, (0, 0), (3, 2))
+
+    @pytest.mark.parametrize("start, goal", [
+        ((1, 0), (3, 2)), ((0, 0), (1, 0)),  # blocked
+        ((-1, 0), (3, 2)), ((0, 0), (4, 2)), ((0, 3), (3, 2)),  # out of bounds
+    ])
+    def test_bad_start_or_goal_raises(self, start, goal):
+        cells = bytes([0, 1, 0, 0] + [0] * 8)
+        with pytest.raises(InvalidCellError):
+            Grid.from_cells(4, 3, cells, start, goal)
+
+    @pytest.mark.parametrize("w, h", [(0, 3), (3, 0), (-1, -1)])
+    def test_degenerate_size_raises(self, w, h):
+        with pytest.raises(InvalidCellError):
+            Grid.from_cells(w, h, b"", (0, 0), (0, 0))
+        with pytest.raises(InvalidCellError):
+            Grid(w, h, [], (0, 0), (0, 0))
+
+
 class TestHeuristic:
     def test_three_four_five(self):
         assert euclidean_heuristic(Coord(0, 0), Coord(3, 4)) == 5.0
