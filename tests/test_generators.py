@@ -20,6 +20,7 @@ from gridbench import (
     generate_wall_grid,
     is_solvable,
     obstacle_count,
+    parse_grid,
     wall_length_sequence,
 )
 from gridbench import grid as gridmod
@@ -229,6 +230,19 @@ class TestSolvability:
     @given(solvability_grids())
     def test_matches_reference_bfs(self, g):
         assert is_solvable(g) == reference_reachable(g)
+
+    @pytest.mark.parametrize("text", [
+        # the goal's side runs into cells the start's side has queued but not
+        # expanded, and then has nothing left to expand
+        "7 4\n.G#..S.\n.##..#.\n.#....#\n....#..\n",
+        "5 5\n.....\n#....\nG##..\n..#.S\n.....\n",
+        "5 5\n.#G..\n..#..\n...#.\n#....\nS....\n",
+    ])
+    def test_either_side_can_meet_the_other(self, text):
+        g = parse_grid(text)
+        swapped = Grid(g.width, g.height, g.blocked, g.goal, g.start)
+        assert reference_reachable(g)
+        assert is_solvable(g) and is_solvable(swapped)
 
     @pytest.mark.parametrize("end", ["goal", "start"])
     def test_sealed_end_answered_at_once(self, end, monkeypatch):
