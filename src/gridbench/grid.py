@@ -209,7 +209,9 @@ class Grid:
         """A grid from ``width * height`` row-major cell bytes, FREE or BLOCKED.
 
         Byte ``y * width + x`` is the flag of cell (x, y).  The bytes are
-        padded into ``flags`` and not kept.
+        padded into ``flags`` and not kept.  Raises InvalidCellError for a
+        wrong length, any other byte, or a blocked or out-of-bounds start
+        or goal.
         """
         grid = cls.__new__(cls)
         grid._build(width, height, cells, start, goal, allow_corner_cutting)

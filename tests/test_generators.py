@@ -49,6 +49,14 @@ class TestRandomGrids:
             g = generate_random_grid(RandomGridSpec(n=25, density=0.2, sg_distance=15, seed=seed))
             assert abs(euclidean_heuristic(g.start, g.goal) - 15) <= 0.5
 
+    def test_generator_builds_from_cell_bytes(self, monkeypatch):
+        def no_pairs(*args, **kwargs):
+            raise AssertionError("Grid built from (x, y) pairs")
+
+        monkeypatch.setattr(Grid, "__init__", no_pairs)
+        g = generate_random_grid(RandomGridSpec(n=20, density=0.3, sg_distance=10, seed=2))
+        assert len(g.blocked) == obstacle_count(20, 0.3)
+
     def test_deterministic(self):
         spec = RandomGridSpec(n=15, density=0.3, sg_distance=9, seed=42)
         assert format_grid(generate_random_grid(spec)) == format_grid(generate_random_grid(spec))
@@ -255,23 +263,15 @@ class TestSolvability:
         calls = []
         neighbor_cells = gridmod.neighbor_cells
 
-        def counted(*args):
-            calls.append(args[0])
-            return neighbor_cells(*args)
+        def counted(i, flags, steps):
+            calls.append(i)
+            return neighbor_cells(i, flags, steps)
 
         monkeypatch.setattr(gridmod, "neighbor_cells", counted)
         assert not is_solvable(sealed)
         assert len(calls) <= 4
         calls.clear()
         assert is_solvable(g) and len(calls) > 4
-
-    def test_generator_builds_from_cell_bytes(self, monkeypatch):
-        def no_pairs(*args, **kwargs):
-            raise AssertionError("Grid built from (x, y) pairs")
-
-        monkeypatch.setattr(Grid, "__init__", no_pairs)
-        g = generate_random_grid(RandomGridSpec(n=20, density=0.3, sg_distance=10, seed=2))
-        assert len(g.blocked) == obstacle_count(20, 0.3)
 
 
 def grid_digest(grid) -> str:
