@@ -8,11 +8,21 @@ hardware-independent and byte-identical across repeated runs while
 preserving honest proportions between solvers.
 
 A hot loop may keep ``live_bytes`` and ``peak_bytes`` in local variables
-instead of calling ``alloc``/``free`` per entry.  It must then raise its
-local peak to the live count after every increase, or once at the end of
-a run of increases (the high-water mark of a run of increases is its last
-value), and write both back to the probe before any probe method call,
-return or raise, so the probe reads as if every delta had been a call.
+instead of calling ``alloc``/``free`` per entry, and keeps its expansion
+count in a local too.  It must raise its local peak to the live count
+after every increase, or once at the end of a run of increases (the
+high-water mark of a run of increases is its last value), and write the
+bytes and ``expansions`` back to the probe before any probe method call,
+return or raise, so the probe reads as if every delta and expansion had
+been a call.
+
+Expansion events are opt-in: ``on_expand`` is None unless an observer
+sets it to a callable.  A loop reads it once per run and, per expansion,
+only tests it against None; when it is set, the loop writes its bytes and
+count back and then calls ``on_expand(cell)`` with the padded cell id
+(see ``Grid.coord``), so the sink reads the probe as it stands at that
+expansion, the expansion counted.  A sink observes; it must not call the
+probe's methods.
 """
 
 from __future__ import annotations
@@ -26,14 +36,15 @@ ARRAY_SLOT_BYTES = 8      # one slot of a dense per-cell value array
 
 
 class AllocationProbe:
-    """Receives every allocation-size delta and node-expansion event."""
+    """Receives every allocation-size delta, the expansion count and, opt-in, each expansion."""
 
-    __slots__ = ("live_bytes", "peak_bytes", "expansions")
+    __slots__ = ("live_bytes", "peak_bytes", "expansions", "on_expand")
 
     def __init__(self):
         self.live_bytes = 0
         self.peak_bytes = 0
         self.expansions = 0
+        self.on_expand = None  # the per-expansion sink, called with the padded cell id
 
     def alloc(self, nbytes: int) -> None:
         self.live_bytes += nbytes
@@ -44,7 +55,7 @@ class AllocationProbe:
         self.live_bytes -= nbytes
 
     def expand(self, cell=None) -> None:
-        """One node expansion; solvers pass the padded cell id (see ``Grid.coord``)."""
+        """Count one node expansion.  The solvers count in locals instead (see above)."""
         self.expansions += 1
 
 

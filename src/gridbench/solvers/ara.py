@@ -53,11 +53,12 @@ def run_detailed(grid, params: SolverParams, probe: AllocationProbe):
     heap = [(w * hypot(start % stride - gx, start // stride - gy), 0.0, 1, start)]
     live = {start: 1}
     seq = 1
-    # the probe's bytes are kept in locals and written back before every
-    # probe call, return and raise (see ``instrumentation``); the start's
-    # g entry has no parent entry
+    # the probe's bytes and expansion count are kept in locals and written
+    # back before every probe call, return and raise (see
+    # ``instrumentation``); the start's g entry has no parent entry
     nbytes = probe.live_bytes + MAP_ENTRY_BYTES + HEAP_ENTRY_BYTES
     peak = max(probe.peak_bytes, nbytes)
+    nexp0, on_expand = probe.expansions, probe.on_expand
 
     while True:
         # improve-path round at the current weight
@@ -80,8 +81,10 @@ def run_detailed(grid, params: SolverParams, probe: AllocationProbe):
                 if nbytes > peak:
                     peak = nbytes
             expanded += 1
-            probe.live_bytes, probe.peak_bytes = nbytes, peak
-            probe.expand(s)
+            if on_expand is not None:
+                probe.live_bytes, probe.peak_bytes = nbytes, peak
+                probe.expansions = nexp0 + expanded
+                on_expand(s)
             gs = g[s]
             for off, c in table[mask[s]]:
                 n = s + off
@@ -104,7 +107,7 @@ def run_detailed(grid, params: SolverParams, probe: AllocationProbe):
                         nbytes += HEAP_ENTRY_BYTES
             if nbytes > peak:
                 peak = nbytes
-        probe.live_bytes, probe.peak_bytes = nbytes, peak
+        probe.live_bytes, probe.peak_bytes, probe.expansions = nbytes, peak, nexp0 + expanded
         cost = g[goal]
         if cost == INF:
             raise NoPathError(f"no path from {tuple(grid.start)} to {tuple(grid.goal)}")

@@ -38,12 +38,12 @@ def run(grid, params: SolverParams, probe: AllocationProbe):
     heap = [(hypot(start % stride - gx, start // stride - gy), 0.0, 1, start)]
     live = {start: 1}
     seq = 1
-    # the probe's bytes are kept in locals and written back before every
-    # probe call, return and raise (see ``instrumentation``); the start's
-    # g entry has no parent entry
+    # the probe's bytes and expansion count are kept in locals and written
+    # back before every probe call, return and raise (see
+    # ``instrumentation``); the start's g entry has no parent entry
     nbytes = probe.live_bytes + MAP_ENTRY_BYTES + HEAP_ENTRY_BYTES
     peak = max(probe.peak_bytes, nbytes)
-    expanded = 0
+    expanded, nexp0, on_expand = 0, probe.expansions, probe.on_expand
     while live:
         while True:
             _, _, sq, s = heappop(heap)
@@ -52,9 +52,11 @@ def run(grid, params: SolverParams, probe: AllocationProbe):
                 del live[s]
                 break
         expanded += 1
-        probe.live_bytes, probe.peak_bytes = nbytes, peak
-        probe.expand(s)
+        if on_expand is not None:
+            probe.live_bytes, probe.peak_bytes, probe.expansions = nbytes, peak, nexp0 + expanded
+            on_expand(s)
         if s == goal:
+            probe.live_bytes, probe.peak_bytes, probe.expansions = nbytes, peak, nexp0 + expanded
             ids = [goal]
             while s != start:
                 s = parent[s]
@@ -76,5 +78,5 @@ def run(grid, params: SolverParams, probe: AllocationProbe):
                 nbytes += HEAP_ENTRY_BYTES
         if nbytes > peak:
             peak = nbytes
-    probe.live_bytes, probe.peak_bytes = nbytes, peak
+    probe.live_bytes, probe.peak_bytes, probe.expansions = nbytes, peak, nexp0 + expanded
     raise NoPathError(f"no path from {tuple(grid.start)} to {tuple(grid.goal)}")

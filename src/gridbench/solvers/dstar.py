@@ -119,11 +119,13 @@ class DStarPlanner:
         """
         heap, live, h, back = self._heap, self._live, self._h, self._back
         mask, table, dirty, probe, seq = self._mask, self._table, self._dirty, self.probe, self._seq
-        # the pops and the LOWER inserts keep the probe's bytes in locals,
-        # written back before every probe call, return and raise (see
-        # ``instrumentation``); each expansion only adds bytes after its pop,
-        # so the peak is raised once at its end
+        # the pops and the LOWER inserts keep the probe's bytes in locals, as
+        # does the count of this call's expansions, written back before every
+        # probe call, return and raise (see ``instrumentation``); each
+        # expansion only adds bytes after its pop, so the peak is raised once
+        # at its end
         nbytes, peak = probe.live_bytes, probe.peak_bytes
+        expanded, nexp0, on_expand = 0, probe.expansions, probe.on_expand
         while True:
             # peek, dropping stale entries off the top; it also runs after
             # the last expansion, so they leave the heap (and the byte count)
@@ -139,9 +141,11 @@ class DStarPlanner:
             heappop(heap)
             nbytes -= HEAP_ENTRY_BYTES
             live[x] = None
-            self.expanded += 1
-            probe.live_bytes, probe.peak_bytes = nbytes, peak
-            probe.expand(x)
+            expanded += 1
+            if on_expand is not None:
+                probe.live_bytes, probe.peak_bytes = nbytes, peak
+                probe.expansions = nexp0 + expanded
+                on_expand(x)
             rh = h[x]
             arcs = self._arcs(x) if dirty[x] else table[mask[x]]
             if k_old < rh:
@@ -157,6 +161,8 @@ class DStarPlanner:
                     # still raised: re-expand descendants and enlist possible
                     # rescuers, through ``_insert`` and the probe's own counts
                     self._seq = seq
+                    probe.live_bytes, probe.peak_bytes = nbytes, peak
+                    probe.expansions = nexp0 + expanded
                     insert = self._insert
                     for off, c in arcs:
                         y = x + off
@@ -202,7 +208,8 @@ class DStarPlanner:
             if nbytes > peak:
                 peak = nbytes
         self._seq = seq
-        probe.live_bytes, probe.peak_bytes = nbytes, peak
+        self.expanded += expanded
+        probe.live_bytes, probe.peak_bytes, probe.expansions = nbytes, peak, nexp0 + expanded
 
     def initial_run(self) -> None:
         """Settle costs outward from the goal until the start is closed.
@@ -222,9 +229,9 @@ class DStarPlanner:
         # one FIFO queue per step cost (see the module docstring); the goal's
         # entry opens the orthogonal one
         ortho, diag = deque(self._heap), deque()
-        # the probe's bytes stay in locals as in ``_run``
+        # the probe's bytes and the expansions stay in locals as in ``_run``
         nbytes, peak = probe.live_bytes, probe.peak_bytes
-        expanded = 0
+        expanded, nexp0, on_expand = 0, probe.expansions, probe.on_expand
         while ortho or diag:
             if diag and (not ortho or diag[0] < ortho[0]):
                 rh, sq, x = diag.popleft()
@@ -236,8 +243,10 @@ class DStarPlanner:
             if h[x] != rh:
                 continue
             expanded += 1
-            probe.live_bytes, probe.peak_bytes = nbytes, peak
-            probe.expand(x)
+            if on_expand is not None:
+                probe.live_bytes, probe.peak_bytes = nbytes, peak
+                probe.expansions = nexp0 + expanded
+                on_expand(x)
             # every expansion is LOWER with k == h: a push writes only h, the
             # back-pointer and its entry; ``_live`` is derived at the stop.
             # A cell with h = INF is NEW
@@ -272,7 +281,7 @@ class DStarPlanner:
         nbytes -= stale * HEAP_ENTRY_BYTES
         self._heap = rest[stale:]
         self._seq, self.expanded = seq, expanded
-        probe.live_bytes, probe.peak_bytes = nbytes, peak
+        probe.live_bytes, probe.peak_bytes, probe.expansions = nbytes, peak, nexp0 + expanded
         if h[stop] == INF:
             raise NoPathError(f"no path from {tuple(self.grid.start)} to {tuple(self.grid.goal)}")
 

@@ -115,11 +115,13 @@ class GRhsPlanner:
         target, root, stride, tx, ty, k_m = (self._target, self._root, self._stride,
                                              self._tx, self._ty, self._k_m)
         # The steps of ``_update_vertex`` (the key, the queue step and the
-        # first-write charges) are written out, and the probe's bytes are
-        # kept in locals, written back before every probe call, return and
-        # raise (see ``instrumentation``).  Each expansion only adds bytes
-        # after its pop, so the peak is raised once at its end.
+        # first-write charges) are written out, and the probe's bytes and
+        # this call's expansions are kept in locals, written back before
+        # every probe call, return and raise (see ``instrumentation``).  Each
+        # expansion only adds bytes after its pop, so the peak is raised once
+        # at its end.
         nbytes, peak = probe.live_bytes, probe.peak_bytes
+        expanded, nexp0, on_expand = 0, probe.expansions, probe.on_expand
         # the target's key depends only on its g and rhs while compute runs
         # (its h is 0), so it is recomputed only when one of them has changed
         tg = trhs = None
@@ -153,9 +155,11 @@ class GRhsPlanner:
                     if nbytes > peak:
                         peak = nbytes
                     continue
-            self.expanded += 1
-            probe.live_bytes, probe.peak_bytes = nbytes, peak
-            probe.expand(u)
+            expanded += 1
+            if on_expand is not None:
+                probe.live_bytes, probe.peak_bytes = nbytes, peak
+                probe.expansions = nexp0 + expanded
+                on_expand(u)
             gu, ru = g[u], rhs[u]
             falls = gu > ru
             if falls:
@@ -219,7 +223,8 @@ class GRhsPlanner:
             if nbytes > peak:
                 peak = nbytes
         self._seq = seq
-        probe.live_bytes, probe.peak_bytes = nbytes, peak
+        self.expanded += expanded
+        probe.live_bytes, probe.peak_bytes, probe.expansions = nbytes, peak, nexp0 + expanded
         if g[target] == INF:
             raise self._no_path()
 

@@ -142,8 +142,8 @@ class RealTimeAgent:
         # The open list is a binary heap with lazy deletion: entries
         # (f, -g, seq, id), and ``live`` maps each id to the seq of the
         # entry that counts, so a re-push supersedes the earlier entry.  The
-        # probe's bytes are kept in locals (see ``instrumentation``) and
-        # written back before each probe call
+        # probe's bytes and the episode's expansions are kept in locals (see
+        # ``instrumentation``) and written back before each probe call
         heap = [(self._h_at(oi), 0.0, 1, oi)]
         live = {oi: 1}
         seq = 1
@@ -151,7 +151,7 @@ class RealTimeAgent:
         peak = max(probe.peak_bytes, nbytes)
         closed = []
         budget = self.params.lookahead
-        expd = 0
+        expd, nexp0, on_expand = 0, probe.expansions, probe.on_expand
         reached = False
         while live and expd < budget:
             while True:
@@ -161,8 +161,9 @@ class RealTimeAgent:
                     del live[si]
                     break
             expd += 1
-            probe.live_bytes, probe.peak_bytes = nbytes, peak
-            probe.expand(si)
+            if on_expand is not None:
+                probe.live_bytes, probe.peak_bytes, probe.expansions = nbytes, peak, nexp0 + expd
+                on_expand(si)
             if si == goal:
                 reached = True
                 break
@@ -201,7 +202,7 @@ class RealTimeAgent:
                     break
                 heappop(heap)
                 nbytes -= HEAP_ENTRY_BYTES
-        probe.live_bytes, probe.peak_bytes = nbytes, peak
+        probe.live_bytes, probe.peak_bytes, probe.expansions = nbytes, peak, nexp0 + expd
 
         if reached:
             best = goal

@@ -366,15 +366,12 @@ def test_dstar_closed_values_are_goal_distances(corner_cutting):
 
 
 class _RecordingProbe(AllocationProbe):
-    """An AllocationProbe that also logs the padded ids passed to ``expand``."""
+    """An AllocationProbe whose ``on_expand`` sink logs the padded ids expanded."""
 
     def __init__(self):
         super().__init__()
         self.ids = []
-
-    def expand(self, cell=None):
-        super().expand(cell)
-        self.ids.append(cell)
+        self.on_expand = self.ids.append
 
 
 SWEEP_GRIDS = {

@@ -12,12 +12,15 @@ from gridbench import (
     Grid,
     MeasurementError,
     RandomGridSpec,
+    WallGridSpec,
     aggregate,
     generate_random_grid,
+    generate_wall_grid,
     measure_run,
     run_repetitions,
+    solve,
 )
-from gridbench import instrumentation
+from gridbench import instrumentation, solvers
 from gridbench.instrumentation import TrackedMap
 from gridbench.pqueue import LazyHeap
 from helpers import two_pass_stats
@@ -155,8 +158,6 @@ class TestMeasureRun:
         assert d_lite.memory_kb < rtaa.memory_kb
 
     def test_probe_sees_expansions_and_peak(self):
-        from gridbench import solve
-
         g = generate_random_grid(RandomGridSpec(n=15, density=0.25, sg_distance=9, seed=5))
         for algo in AlgorithmId:
             probe = AllocationProbe()
@@ -164,6 +165,34 @@ class TestMeasureRun:
             assert probe.expansions == out.expanded
             assert probe.peak_bytes == out.peak_memory_bytes
             assert probe.peak_bytes > 0
+
+    @pytest.mark.parametrize("algo", list(AlgorithmId), ids=lambda a: a.value)
+    @pytest.mark.parametrize("make_grid", [
+        lambda: generate_random_grid(RandomGridSpec(n=15, density=0.25, sg_distance=9, seed=5)),
+        lambda: generate_wall_grid(WallGridSpec(7, 21)),
+    ], ids=["random_15", "wall_7_21"])
+    def test_expansion_sink_is_observer_neutral(self, algo, make_grid):
+        """Setting ``on_expand`` changes no result and sees every expansion once, counted."""
+        g = make_grid()
+        plain = AllocationProbe()
+        a = solve(g, algo, probe=plain)
+        watched = AllocationProbe()
+        seen = []
+        watched.on_expand = lambda cell: seen.append((cell, watched.expansions))
+        b = solve(g, algo, probe=watched)
+        assert (a.path, a.path_cost, a.expanded, a.peak_memory_bytes) == (
+            b.path, b.path_cost, b.expanded, b.peak_memory_bytes)
+        assert len(seen) == a.expanded
+        assert [n for _, n in seen] == list(range(1, a.expanded + 1))
+        assert all(g.in_bounds(g.coord(cell)) for cell, _ in seen)
+        assert plain.expansions == watched.expansions == a.expanded
+
+    def test_no_solver_calls_probe_expand(self):
+        """The loops count expansions in locals; a per-expansion ``probe.expand`` call is a cost."""
+        calls = {path.name: re.findall(r"\bprobe\.expand\b", path.read_text())
+                 for path in Path(solvers.__file__).parent.glob("*.py")}
+        assert len(calls) >= 7
+        assert {name: found for name, found in calls.items() if found} == {}
 
 
 class TestRunRepetitions:
