@@ -470,6 +470,96 @@ def test_dstar_state_pinned(name):
     assert (after_run, _dstar_state_digest(planner)) == DSTAR_STATE_DIGESTS[name]
 
 
+def _grhs_state(p):
+    """LPA*'s or D* Lite's whole search state, as a comparable value.
+
+    g, rhs, the held bits, the live index, the heap's entries, the seq
+    counter, the freshness mark, k_m and the probe's three readings.  As for
+    D*, the sorted entries fix the pop order; the heap's layout is not state.
+    """
+    return (p._g, p._rhs, bytes(p._held), sorted(_live_index(p).items()), sorted(p._heap),
+            p._seq, p._fresh, p._k_m,
+            (p.probe.live_bytes, p.probe.peak_bytes, p.probe.expansions))
+
+
+def _dstar_state(p):
+    return (p._h, p._back, sorted(p._heap), sorted(_live_index(p).items()), p._seq, p.expanded,
+            (p.probe.live_bytes, p.probe.peak_bytes, p.probe.expansions))
+
+
+def _event_script(planner, grid):
+    """Three blocks at the middle of the current path and one unblock of the first.
+
+    The agent (D* and D* Lite) takes two steps along its path before the
+    second block.  Returns the sha256 of the planner's state after the first
+    search and after every repair.
+    """
+    dstar = isinstance(planner, DStarPlanner)
+    state = _dstar_state if dstar else _grhs_state
+    position = grid.start
+
+    def repair():
+        if dstar:
+            planner.replan(position)
+            path = planner.extract_path(position)
+        else:
+            planner.compute()
+            path = planner.extract_path()
+        states.append(state(planner))
+        return path
+
+    states = []
+    if dstar:
+        planner.initial_run()
+        path = planner.extract_path()
+        states.append(state(planner))
+    else:
+        path = repair()
+    first = None
+    for event in range(3):
+        if event == 1 and not isinstance(planner, LpaStarPlanner):
+            if dstar:
+                position = path[2]
+            else:
+                planner.advance(2)
+                assert planner.position == path[2]
+            path = path[2:]
+        cell = path[len(path) // 2]
+        first = first or cell
+        planner.set_blocked(cell, True)
+        path = repair()
+    planner.set_blocked(first, False)
+    repair()
+    return hashlib.sha256(repr(states).encode()).hexdigest()
+
+
+# (planner, golden instance) -> digest of ``_event_script``'s states.  It
+# pins every value, key, seq and byte charge through a repair with blocks,
+# an unblock and (but for LPA*) an agent move
+EVENT_STATE_DIGESTS = {
+    ("LPA*", "wall_7_21"):
+        "cc295a01692355a059b05559de36cbcc8e74e55626e02c372595f847aefbea05",
+    ("LPA*", "random_60"):
+        "5c4e309be03a2100162a79f3859ac1d57d946beb95379fdc852cacbe0e11c9e0",
+    ("D* Lite", "wall_7_21"):
+        "41a8d9a5bdfdaec2b64c55fb5a730a6fda88b3f316e6e0027d5bf1dc34d56eea",
+    ("D* Lite", "random_60"):
+        "a56ae60afdff3fd56bd9b216834a03e4f6dcf4fbb720d3d63969231c50630a4b",
+    ("D*", "wall_7_21"):
+        "448d642f6eb44944725901b40fee72dc6456467a9300c2601ffd4c8d67397aea",
+    ("D*", "random_60"):
+        "451a1e31d9b12a9e8a3a4c5f77e274b17f8212c902aefdfd7e53697de42d9c74",
+}
+PLANNERS = {"LPA*": LpaStarPlanner, "D*": DStarPlanner, "D* Lite": DStarLitePlanner}
+
+
+@pytest.mark.parametrize("key", sorted(EVENT_STATE_DIGESTS), ids="-".join)
+def test_event_script_state_pinned(key):
+    name, grid_name = key
+    grid = GOLDEN_GRIDS[grid_name]()
+    assert _event_script(PLANNERS[name](grid), grid) == EVENT_STATE_DIGESTS[key]
+
+
 def _initial_state(planner):
     """Whether ``initial_run`` raised NoPathError, and the state digest after it."""
     try:
