@@ -271,6 +271,12 @@ class Grid:
         y, x = divmod(i, self.width + 2)
         return Coord(x - 1, y - 1)
 
+    def coords(self, ids) -> list[Coord]:
+        """The cells of the padded ids ``ids``, in order."""
+        stride = self.width + 2
+        new = tuple.__new__
+        return [new(Coord, (i % stride - 1, i // stride - 1)) for i in ids]
+
     def neighbors8(self, c) -> list[tuple[Coord, float]]:
         """Traversable neighbors of a traversable cell, clockwise from north."""
         if not self.is_traversable(c):

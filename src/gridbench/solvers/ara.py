@@ -140,7 +140,7 @@ def run_detailed(grid, params: SolverParams, probe: AllocationProbe):
     while s != start:
         s = parent[s]
         ids.append(s)
-    return [grid.coord(i) for i in reversed(ids)], cost, expanded, iterates
+    return grid.coords(reversed(ids)), cost, expanded, iterates
 
 
 def run(grid, params: SolverParams, probe: AllocationProbe):

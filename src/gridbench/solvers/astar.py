@@ -61,7 +61,7 @@ def run(grid, params: SolverParams, probe: AllocationProbe):
             while s != start:
                 s = parent[s]
                 ids.append(s)
-            return [grid.coord(i) for i in reversed(ids)], g[goal], expanded
+            return grid.coords(reversed(ids)), g[goal], expanded
         gs = g[s]
         for off, c in table[mask[s]]:
             n = s + off

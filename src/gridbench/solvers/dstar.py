@@ -38,7 +38,9 @@ popping the smaller of the two heads gives exactly the heap's pop order.
 The entries, seqs and byte charges are the heap's; at the stop the rest,
 merged, becomes ``_heap`` as one sorted list, which is a valid heap.
 ``_run`` keeps the heap, because its RAISE states break that monotone
-order.  The sweep writes no live entry per push or pop: every push
+order.  Both of its branches queue cells with the steps of ``_insert``
+written out and the probe's bytes in locals; ``_insert`` itself serves
+only ``set_blocked`` (and the goal's first entry in ``initial_run``).  The sweep writes no live entry per push or pop: every push
 lowers h and a closed cell's h never falls again, so an entry is current
 exactly when its key equals its cell's h, and at the stop each current
 entry left becomes its cell's live entry.  A cell walks its usable arcs
@@ -100,7 +102,11 @@ class DStarPlanner:
                 for d, (off, cost, _, _) in enumerate(self._steps) if flags[i + off] != OUTSIDE]
 
     def _insert(self, s, h_new: float) -> None:
-        """Queue ``s`` with cost ``h_new``; a NEW cell's k is h_new, as h is INF."""
+        """Queue ``s`` with cost ``h_new``; a NEW cell's k is h_new, as h is INF.
+
+        Serves ``set_blocked`` and the goal's entry in ``initial_run``; the
+        search loops write its steps out.
+        """
         h, entry = self._h[s], self._live[s]
         if h == INF and self._back[s] < 0:
             self.probe.alloc(RECORD_ENTRY_BYTES)
@@ -119,11 +125,10 @@ class DStarPlanner:
         """
         heap, live, h, back = self._heap, self._live, self._h, self._back
         mask, table, dirty, probe, seq = self._mask, self._table, self._dirty, self.probe, self._seq
-        # the pops and the LOWER inserts keep the probe's bytes in locals, as
-        # does the count of this call's expansions, written back before every
-        # probe call, return and raise (see ``instrumentation``); each
-        # expansion only adds bytes after its pop, so the peak is raised once
-        # at its end
+        # the pops and the RAISE and LOWER inserts keep the probe's bytes in
+        # locals, as does the count of this call's expansions, written back
+        # before every return (see ``instrumentation``); each expansion only
+        # adds bytes after its pop, so the peak is raised once at its end
         nbytes, peak = probe.live_bytes, probe.peak_bytes
         expanded, nexp0, on_expand = 0, probe.expansions, probe.on_expand
         while True:
@@ -157,54 +162,67 @@ class DStarPlanner:
                     if hy <= k_old and rh > hy + c:
                         back[x] = y
                         rh = h[x] = hy + c
-                if k_old < rh:
-                    # still raised: re-expand descendants and enlist possible
-                    # rescuers, through ``_insert`` and the probe's own counts
-                    self._seq = seq
-                    probe.live_bytes, probe.peak_bytes = nbytes, peak
-                    probe.expansions = nexp0 + expanded
-                    insert = self._insert
-                    for off, c in arcs:
-                        y = x + off
-                        nh = rh + c
-                        if h[y] == INF and back[y] < 0:
-                            # NEW; ``insert`` must see that, so the back-pointer follows it
-                            if nh < INF:
-                                insert(y, nh)
-                                back[y] = x
-                        elif back[y] == x and h[y] != nh:
-                            insert(y, nh)
-                        elif back[y] != x and h[y] > nh:
-                            insert(x, rh)
-                        elif back[y] != x and rh > h[y] + c and live[y] is None and h[y] > k_old:
-                            insert(y, h[y])
-                    seq, nbytes, peak = self._seq, probe.live_bytes, probe.peak_bytes
-                    continue
-            # LOWER: propagate the settled cost to neighbors; a NEW cell
-            # (h = INF, back = -1) gets a record when nh is finite.  The
-            # steps of ``_insert`` are inlined
-            for off, c in arcs:
-                y = x + off
-                nh = rh + c
-                hy = h[y]
-                if back[y] == x:
-                    if hy == nh:
-                        continue
-                elif hy > nh:
-                    if hy == INF and back[y] < 0:
+            if k_old < rh:
+                # still raised: re-expand descendants and enlist possible
+                # rescuers.  Each case queues one cell s under cost hs, with
+                # the steps of ``_insert`` inlined.  Only a NEW neighbor needs
+                # a record: x and a neighbor with a back-pointer or a finite
+                # h already hold one
+                for off, c in arcs:
+                    y = x + off
+                    nh = rh + c
+                    hy, by = h[y], back[y]
+                    if hy == INF and by < 0:
+                        if nh == INF:
+                            continue
                         nbytes += RECORD_ENTRY_BYTES
-                    back[y] = x
-                else:
-                    continue
-                e = live[y]
-                k = e[0] if e else hy
-                if nh < k:
-                    k = nh
-                h[y] = nh
-                seq += 1
-                e = live[y] = (k, seq, y)
-                heappush(heap, e)
-                nbytes += HEAP_ENTRY_BYTES
+                        back[y] = x
+                        s, hs = y, nh
+                    elif by == x:
+                        if hy == nh:
+                            continue
+                        s, hs = y, nh
+                    elif hy > nh:
+                        s, hs = x, rh
+                    elif rh > hy + c and live[y] is None and hy > k_old:
+                        s, hs = y, hy
+                    else:
+                        continue
+                    e = live[s]
+                    k = e[0] if e else h[s]
+                    if hs < k:
+                        k = hs
+                    h[s] = hs
+                    seq += 1
+                    e = live[s] = (k, seq, s)
+                    heappush(heap, e)
+                    nbytes += HEAP_ENTRY_BYTES
+            else:
+                # LOWER: propagate the settled cost to neighbors; a NEW cell
+                # (h = INF, back = -1) gets a record when nh is finite.  The
+                # steps of ``_insert`` are inlined
+                for off, c in arcs:
+                    y = x + off
+                    nh = rh + c
+                    hy = h[y]
+                    if back[y] == x:
+                        if hy == nh:
+                            continue
+                    elif hy > nh:
+                        if hy == INF and back[y] < 0:
+                            nbytes += RECORD_ENTRY_BYTES
+                        back[y] = x
+                    else:
+                        continue
+                    e = live[y]
+                    k = e[0] if e else hy
+                    if nh < k:
+                        k = nh
+                    h[y] = nh
+                    seq += 1
+                    e = live[y] = (k, seq, y)
+                    heappush(heap, e)
+                    nbytes += HEAP_ENTRY_BYTES
             if nbytes > peak:
                 peak = nbytes
         self._seq = seq
@@ -328,7 +346,7 @@ class DStarPlanner:
             path.append(cur)
             if len(path) > limit:
                 raise NoPathError("back-pointer chain cycled")
-        return [coord(i) for i in path]
+        return self.grid.coords(path)
 
     def solve(self) -> tuple:
         self.initial_run()

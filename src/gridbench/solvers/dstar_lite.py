@@ -8,7 +8,7 @@ bound, so moving forces no re-sort; stale keys are refreshed on pop.
 
 from __future__ import annotations
 
-from ..errors import NoPathError
+from ..errors import InvalidSpecError, NoPathError
 from ..grid import neighbor_cells  # noqa: F401  (perfbench's tracer patches this name)
 from ..instrumentation import AllocationProbe
 from .common import INF, SolverParams
@@ -27,7 +27,13 @@ class DStarLitePlanner(GRhsPlanner):
         return self.grid.coord(self._target)
 
     def advance(self, steps: int = 1) -> None:
-        """Move the agent along the current optimal path."""
+        """Move the agent ``steps`` cells along the current optimal path (0: stay).
+
+        Stops early at the goal; raises InvalidSpecError for a negative
+        ``steps``.
+        """
+        if steps < 0:
+            raise InvalidSpecError(f"steps must be >= 0, got {steps}")
         for _ in range(steps):
             if self._target == self._root:
                 return

@@ -11,7 +11,11 @@ re-queues only the affected cells.  LPA* roots the search at the start
 and aims at the goal (k_m stays 0); D* Lite (``dstar_lite``) roots it at
 the goal and aims at the moving agent.  Each planner walks its cells'
 usable arcs through its own copy of ``Grid.masks``, and ``set_blocked``
-refreshes the masks of the cells around a toggle.
+refreshes the masks of the cells around a toggle.  ``compute`` walks the
+arcs of an expansion whose g falls (every expansion of a first search)
+in a loop of its own, which can skip a neighbour on its rhs alone; the
+rarer rising g keeps the general loop.  The open list's index is dense:
+one seq per padded id, 0 where the cell is not queued.
 """
 
 from __future__ import annotations
@@ -54,16 +58,19 @@ class GRhsPlanner:
         self._mask = bytearray(grid.masks)
         self._table = arc_table(self._steps)
         # the open list is a binary heap with lazy deletion: flat
-        # (k1, k2, seq, id) entries, and ``_live`` maps each queued id to the
-        # seq of the entry that counts, so a re-push supersedes the earlier
-        # entry, which stays in the heap (and in the byte count) until it
-        # surfaces.  ``compute`` pushes a cell only when its g or rhs
-        # changes; ``set_blocked`` re-pushes the cells around a toggle.
-        # Entries with seq > ``_fresh`` were keyed after the last target
-        # move or k_m change, so their keys are current; older ones are
-        # re-keyed when they are popped
+        # (k1, k2, seq, id) entries, and ``_live`` holds, per padded id, the
+        # seq of the entry that counts (0: not queued; seqs start at 1), so a
+        # re-push supersedes the earlier entry, which stays in the heap (and
+        # in the byte count) until it surfaces.  ``_queued`` counts the ids
+        # with a nonzero seq: ``compute`` runs while it is positive and, at
+        # 0, leaves any stale entries where they are.  ``compute`` pushes a
+        # cell only when its g or rhs changes; ``set_blocked`` re-pushes the
+        # cells around a toggle.  Entries with seq > ``_fresh`` were keyed
+        # after the last target move or k_m change, so their keys are
+        # current; older ones are re-keyed when they are popped
         self._heap = []
-        self._live = {}
+        self._live = [0] * size
+        self._queued = 0
         self._seq = 0
         self.expanded = 0
         self._aim(grid.index(target))
@@ -101,17 +108,21 @@ class GRhsPlanner:
                     if v < rhs:
                         rhs = v
             self._set_rhs(s, rhs)
-        self._live.pop(s, None)
+        if self._live[s]:
+            self._live[s] = 0
+            self._queued -= 1
         if self._g[s] != self._rhs[s]:
             self._seq += 1
             self._live[s] = self._seq
+            self._queued += 1
             heappush(self._heap, (*self._key(s), self._seq, s))
             self.probe.alloc(HEAP_ENTRY_BYTES)
 
     def compute(self) -> None:
         """Expand inconsistent cells until the target is consistent with a minimal key."""
         g, rhs, held, mask, table = self._g, self._rhs, self._held, self._mask, self._table
-        heap, live, seq, fresh, probe = self._heap, self._live, self._seq, self._fresh, self.probe
+        heap, live, queued, seq, fresh = self._heap, self._live, self._queued, self._seq, self._fresh
+        probe = self.probe
         target, root, stride, tx, ty, k_m = (self._target, self._root, self._stride,
                                              self._tx, self._ty, self._k_m)
         # The steps of ``_update_vertex`` (the key, the queue step and the
@@ -125,10 +136,10 @@ class GRhsPlanner:
         # the target's key depends only on its g and rhs while compute runs
         # (its h is 0), so it is recomputed only when one of them has changed
         tg = trhs = None
-        while live:
+        while queued:
             while True:  # peek: drop stale entries off the top
                 k1, k2, sq, u = heap[0]
-                if live.get(u) == sq:
+                if live[u] == sq:
                     break
                 heappop(heap)
                 nbytes -= HEAP_ENTRY_BYTES
@@ -142,7 +153,8 @@ class GRhsPlanner:
                 break
             heappop(heap)
             nbytes -= HEAP_ENTRY_BYTES
-            del live[u]
+            live[u] = 0
+            queued -= 1
             if sq <= fresh:
                 # keyed before the target moved: k2 is current (the cell's g
                 # and rhs have not changed since), k1 may be stale
@@ -150,6 +162,7 @@ class GRhsPlanner:
                 if k1 < n1:
                     seq += 1
                     live[u] = seq
+                    queued += 1
                     heappush(heap, (n1, k2, seq, u))
                     nbytes += HEAP_ENTRY_BYTES
                     if nbytes > peak:
@@ -161,68 +174,90 @@ class GRhsPlanner:
                 probe.expansions = nexp0 + expanded
                 on_expand(u)
             gu, ru = g[u], rhs[u]
-            falls = gu > ru
-            if falls:
+            if gu > ru:
                 # g falls: every rhs already holds its full minimum and u is
                 # each neighbour's neighbour at the same step cost, so only
-                # the new g(u) + c can lower it (exact: min does not round)
+                # the new g(u) + c can lower it (exact: min does not round).
+                # A neighbour whose rhs is not lowered keeps its entry (or
+                # its absence).  v >= rhs(n) is tested before the held bit:
+                # every finite rhs was charged at its first write, and the
+                # root, whose rhs is 0 and below every v, is never lowered
                 if not held[u] & _HAS_G:
                     held[u] |= _HAS_G
                     nbytes += MAP_ENTRY_BYTES
-                g[u] = gu = ru
-            else:
-                # g rises (u already holds a g entry: g(u) < rhs(u)).  No
-                # neighbour's g changed, so rhs(u) keeps its exact value.  A
-                # neighbour n's rhs is the least g + c over its neighbours: if
-                # g_old(u) + c is not it, another neighbour attains it and
-                # rhs(n) stands; only where u was the argmin (a tie included)
-                # is the full 8-neighbour minimum taken again
-                g[u] = INF
-                if ru != INF:
-                    seq += 1
-                    live[u] = seq
-                    heappush(heap, (ru + hypot(tx - u % stride, ty - u // stride) + k_m, ru,
-                                    seq, u))
-                    nbytes += HEAP_ENTRY_BYTES
-            # a neighbour's queue entry changes only when its rhs does: with
-            # its g and rhs unchanged, its entry (or its absence) stays right
+                g[u] = ru
+                for off, c in table[mask[u]]:
+                    n = u + off
+                    v = ru + c
+                    if v >= rhs[n]:
+                        continue
+                    if not held[n] & _HAS_RHS:
+                        held[n] |= _HAS_RHS
+                        nbytes += MAP_ENTRY_BYTES
+                    rhs[n] = v
+                    gn = g[n]
+                    if gn != v:
+                        m = gn if gn < v else v
+                        seq += 1
+                        if not live[n]:
+                            queued += 1
+                        live[n] = seq
+                        heappush(heap, (m + hypot(tx - n % stride, ty - n // stride) + k_m, m,
+                                        seq, n))
+                        nbytes += HEAP_ENTRY_BYTES
+                    else:  # consistent now, so it was queued under its old rhs
+                        live[n] = 0
+                        queued -= 1
+                if nbytes > peak:
+                    peak = nbytes
+                continue
+            # g rises (u already holds a g entry: g(u) < rhs(u)).  No
+            # neighbour's g changed, so rhs(u) keeps its exact value.  A
+            # neighbour n's rhs is the least g + c over its neighbours: if
+            # g_old(u) + c is not it, another neighbour attains it and rhs(n)
+            # stands; only where u was the argmin (a tie included) is the
+            # full 8-neighbour minimum taken again
+            g[u] = INF
+            if ru != INF:
+                seq += 1
+                live[u] = seq
+                queued += 1
+                heappush(heap, (ru + hypot(tx - u % stride, ty - u // stride) + k_m, ru, seq, u))
+                nbytes += HEAP_ENTRY_BYTES
             for off, c in table[mask[u]]:
                 n = u + off
                 if n != root:
                     if not held[n] & _HAS_RHS:
                         held[n] |= _HAS_RHS
                         nbytes += MAP_ENTRY_BYTES
-                    v = gu + c
                     rn = rhs[n]
-                    if falls:
-                        if v >= rn:
-                            continue
-                        rhs[n] = rn = v
-                    elif v == rn:
-                        # n is free (no usable arc leads to a blocked cell)
-                        best = INF
-                        for oj, cj in table[mask[n]]:
-                            v = g[n + oj] + cj
-                            if v < best:
-                                best = v
-                        if best == rn:
-                            continue
-                        rhs[n] = rn = best
-                    else:
+                    if gu + c != rn:
                         continue
+                    # n is free (no usable arc leads to a blocked cell)
+                    best = INF
+                    for oj, cj in table[mask[n]]:
+                        v = g[n + oj] + cj
+                        if v < best:
+                            best = v
+                    if best == rn:
+                        continue
+                    rhs[n] = best
                     gn = g[n]
-                    if gn != rn:
-                        m = gn if gn < rn else rn
+                    if gn != best:
+                        m = gn if gn < best else best
                         seq += 1
+                        if not live[n]:
+                            queued += 1
                         live[n] = seq
                         heappush(heap, (m + hypot(tx - n % stride, ty - n // stride) + k_m, m,
                                         seq, n))
                         nbytes += HEAP_ENTRY_BYTES
                     else:  # consistent now, so it was queued under its old rhs
-                        del live[n]
+                        live[n] = 0
+                        queued -= 1
             if nbytes > peak:
                 peak = nbytes
-        self._seq = seq
+        self._queued, self._seq = queued, seq
         self.expanded += expanded
         probe.live_bytes, probe.peak_bytes, probe.expansions = nbytes, peak, nexp0 + expanded
         if g[target] == INF:
@@ -255,22 +290,32 @@ class GRhsPlanner:
         return best, best_val
 
     def extract_path(self) -> list:
-        """Greedy descent along settled g values from the target to the root."""
+        """Greedy descent along settled g values from the target to the root.
+
+        Each step goes to the neighbour with the least step cost + g, the
+        first in step order on a tie, as ``_best_step`` would.
+        """
+        g, mask, table, root = self._g, self._mask, self._table, self._root
         cur = self._target
-        if self._g[cur] == INF:
+        if g[cur] == INF:
             raise self._no_path()
         path = [cur]
         limit = self.grid.width * self.grid.height + 1
-        while cur != self._root:
-            cur, val = self._best_step(cur)
-            if cur is None or val == INF:
-                raise NoPathError(f"path extraction stranded at {tuple(self.grid.coord(path[-1]))}")
+        while cur != root:
+            step, best = 0, INF
+            for off, c in table[mask[cur]]:
+                v = c + g[cur + off]
+                if v < best:
+                    step, best = off, v
+            if not step:
+                raise NoPathError(f"path extraction stranded at {tuple(self.grid.coord(cur))}")
+            cur += step
             path.append(cur)
             if len(path) > limit:
                 raise NoPathError("path extraction cycled; values inconsistent")
         if self._forward:
             path.reverse()
-        return [self.grid.coord(i) for i in path]
+        return self.grid.coords(path)
 
     def solve(self) -> tuple:
         self.compute()

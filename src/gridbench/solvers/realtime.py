@@ -98,12 +98,12 @@ class RealTimeAgent:
     @property
     def last_closed(self) -> list:
         """Cells expanded by the most recent episode."""
-        return [self.grid.coord(i) for i in self._closed]
+        return self.grid.coords(self._closed)
 
     @property
     def last_open(self) -> list:
         """Cells on the open list when the most recent lookahead stopped."""
-        return [self.grid.coord(i) for i in self._open]
+        return self.grid.coords(self._open)
 
     def h_value(self, c) -> float:
         """Current stored heuristic for a cell."""

@@ -178,6 +178,15 @@ class TestNeighborTableEquivalence:
         assert ids == sorted(set(ids))
         assert [g.coord(i) for i in ids] == [(x, y) for y in range(3) for x in range(5)]
 
+    def test_coords_is_coord_per_id(self):
+        g = empty_grid(5, 3)
+        ids = [g.index((x, y)) for y in range(3) for x in range(5)][::-1]
+        cells = g.coords(iter(ids))
+        assert cells == [g.coord(i) for i in ids]
+        assert all(type(c) is Coord for c in cells)
+        assert [c.x for c in cells] == [i % 7 - 1 for i in ids]
+        assert g.coords([]) == []
+
 
 def _assert_arcs_match_reference(g, flags, blocked):
     """At every in-grid id: ``arc_masks`` == ``neighbor_cells`` == the coordinate loop."""

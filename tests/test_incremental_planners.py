@@ -230,11 +230,11 @@ def _live_index(p):
     """The open list's index as ``{queued id: seq of its current entry}``.
 
     D* keeps it as a dense per-cell list of entries (None: not queued),
-    LPA* and D* Lite as a dict of seqs.
+    LPA* and D* Lite as a dense per-cell list of seqs (0: not queued).
     """
     if isinstance(p, DStarPlanner):
         return {s: e[1] for s, e in enumerate(p._live) if e is not None}
-    return p._live
+    return {s: sq for s, sq in enumerate(p._live) if sq}
 
 
 def _assert_queue_exact(planner):
@@ -257,6 +257,7 @@ def _assert_queue_exact(planner):
             assert k <= p._h[s], s
         return
     assert {s for s, (g, r) in enumerate(zip(p._g, p._rhs)) if g != r} == live.keys()
+    assert p._queued == len(index)
     stride = p._stride
     move = math.hypot(p._last % stride - p._tx, p._last // stride - p._ty)
     for s, (k1, k2, seq, _) in live.items():
@@ -482,11 +483,6 @@ def _grhs_state(p):
             (p.probe.live_bytes, p.probe.peak_bytes, p.probe.expansions))
 
 
-def _dstar_state(p):
-    return (p._h, p._back, sorted(p._heap), sorted(_live_index(p).items()), p._seq, p.expanded,
-            (p.probe.live_bytes, p.probe.peak_bytes, p.probe.expansions))
-
-
 def _event_script(planner, grid):
     """Three blocks at the middle of the current path and one unblock of the first.
 
@@ -495,8 +491,8 @@ def _event_script(planner, grid):
     search and after every repair.
     """
     dstar = isinstance(planner, DStarPlanner)
-    state = _dstar_state if dstar else _grhs_state
-    position = grid.start
+    state = _dstar_state_digest if dstar else _grhs_state
+    position, states = grid.start, []
 
     def repair():
         if dstar:
@@ -508,7 +504,6 @@ def _event_script(planner, grid):
         states.append(state(planner))
         return path
 
-    states = []
     if dstar:
         planner.initial_run()
         path = planner.extract_path()
@@ -546,9 +541,9 @@ EVENT_STATE_DIGESTS = {
     ("D* Lite", "random_60"):
         "a56ae60afdff3fd56bd9b216834a03e4f6dcf4fbb720d3d63969231c50630a4b",
     ("D*", "wall_7_21"):
-        "448d642f6eb44944725901b40fee72dc6456467a9300c2601ffd4c8d67397aea",
+        "ab526fe3b3b793b5e724dd3849729b11005c0160974e72e3471156f0aabb0443",
     ("D*", "random_60"):
-        "451a1e31d9b12a9e8a3a4c5f77e274b17f8212c902aefdfd7e53697de42d9c74",
+        "c8ecee88682a13090bcc7f9e114051804c4f142490ba620612d25a9d9af1bbc3",
 }
 PLANNERS = {"LPA*": LpaStarPlanner, "D*": DStarPlanner, "D* Lite": DStarLitePlanner}
 

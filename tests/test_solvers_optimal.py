@@ -244,6 +244,18 @@ class TestDStarLiteAgent:
             moved += 1
         assert moved >= 8
 
+    def test_advance_rejects_negative_steps_and_stays_for_zero(self):
+        g = empty_grid(9, 9, (0, 4), (8, 4))
+        planner = DStarLitePlanner(g)
+        planner.compute()
+        planner.advance(0)
+        assert planner.position == (0, 4)
+        with pytest.raises(InvalidSpecError, match="steps must be >= 0"):
+            planner.advance(-1)
+        assert planner.position == (0, 4)
+        planner.advance(2)
+        assert planner.position == (2, 4)
+
     def test_obstacle_appears_mid_route(self):
         g = empty_grid(9, 9, (0, 4), (8, 4))
         planner = DStarLitePlanner(g)
