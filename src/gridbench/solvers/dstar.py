@@ -40,10 +40,11 @@ merged, becomes ``_heap`` as one sorted list, which is a valid heap.
 ``_run`` keeps the heap, because its RAISE states break that monotone
 order.  Both of its branches queue cells with the steps of ``_insert``
 written out and the probe's bytes in locals; ``_insert`` itself serves
-only ``set_blocked`` (and the goal's first entry in ``initial_run``).  The sweep writes no live entry per push or pop: every push
-lowers h and a closed cell's h never falls again, so an entry is current
-exactly when its key equals its cell's h, and at the stop each current
-entry left becomes its cell's live entry.  A cell walks its usable arcs
+only ``set_blocked`` (and the goal's first entry in ``initial_run``).
+The sweep writes no live entry per push or pop: every push lowers h and
+a closed cell's h never falls again, so an entry is current exactly when
+its key equals its cell's h, and at the stop each current entry left
+becomes its cell's live entry.  A cell walks its usable arcs
 through the planner's copy of ``Grid.masks``, refreshed around each
 toggle; the cells in the 3x3 block of a toggle are marked dirty and, in
 ``_run``, walk ``_arcs`` instead, which also lists their unusable arcs,

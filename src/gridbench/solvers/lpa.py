@@ -121,8 +121,8 @@ class GRhsPlanner:
     def compute(self) -> None:
         """Expand inconsistent cells until the target is consistent with a minimal key."""
         g, rhs, held, mask, table = self._g, self._rhs, self._held, self._mask, self._table
-        heap, live, queued, seq, fresh = self._heap, self._live, self._queued, self._seq, self._fresh
-        probe = self.probe
+        heap, live, queued, probe = self._heap, self._live, self._queued, self.probe
+        seq, fresh = self._seq, self._fresh
         target, root, stride, tx, ty, k_m = (self._target, self._root, self._stride,
                                              self._tx, self._ty, self._k_m)
         # The steps of ``_update_vertex`` (the key, the queue step and the
