@@ -13,9 +13,18 @@ solve follows a ``gc.collect()`` and is timed by its own
 Prints, per instance and solver, the expansions, each tree's median ms
 and us per expansion, the ratio of the medians and the median of the
 per-round ratios (B over A); the last row per instance sums the solvers.
+
+Then it replays the repair path, which the benchmark's ``replan_ref300``
+pools into one median over all events: LPA*, D* and D* Lite each search
+the reference grid, then repair it after each of ``REPAIR_EVENTS``
+toggles near the middle of the current path (see ``replay``), the two
+trees alternating round by round.  Per planner it prints the first
+search ("initial") and the summed repairs ("repair") in the same columns.
+
 Exits 1 when ``expanded``, ``path_cost`` or ``peak_memory_bytes`` differ
-between the trees (or between rounds) on any solver and instance: timing
-solvers that do different work compares nothing.
+between the trees (or between rounds) on any solver and instance, or any
+replay event's expansions or path cost differ: timing solvers that do
+different work compares nothing.
 
 Usage:
     python scripts/ab_solvers.py TREE_A TREE_B [--rounds N]
@@ -27,6 +36,7 @@ import importlib.util
 import os
 import statistics
 import sys
+import time
 
 INSTANCES = (
     ("random 300x300", lambda gb: gb.generate_random_grid(
@@ -63,13 +73,78 @@ def compare(trees, build, rounds: int):
     return readings, times
 
 
+REPAIR_EVENTS = 12
+PLANNERS = ("LPA_STAR", "D_STAR", "D_STAR_LITE")
+
+
+def replay(gb, grid, name):
+    """One run of the repair script: per search, its (expanded, path cost) and ms.
+
+    The first search, then one toggle and repair per event.  Events 3, 7
+    and 11 unblock the oldest cell still blocked; the others block the
+    middle cell of the current path.  D* and D* Lite first move the agent
+    two steps along that path before events 1, 4, 7 and 10.  A search's
+    time covers the planner's construction (the first), or the toggle
+    (a repair), up to the extracted path.
+    """
+    dstar = name == "D_STAR"
+    pos, blocked, readings, ms = grid.start, [], [], []
+    t0 = time.perf_counter()
+    planner = getattr(gb, {"LPA_STAR": "LpaStarPlanner", "D_STAR": "DStarPlanner",
+                           "D_STAR_LITE": "DStarLitePlanner"}[name])(grid)
+    for event in range(REPAIR_EVENTS + 1):
+        before = planner.expanded
+        if event:
+            if name != "LPA_STAR" and event % 3 == 1:
+                if dstar:
+                    pos = path[2]
+                else:
+                    planner.advance(2)
+                path = path[2:]
+            if event % 4 == 3:
+                cell, flag = blocked.pop(0), False
+            else:
+                cell, flag = path[len(path) // 2], True
+                blocked.append(cell)
+            t0 = time.perf_counter()
+            planner.set_blocked(cell, flag)
+        if not dstar:
+            planner.compute()
+            path = planner.extract_path()
+        else:
+            planner.replan(pos) if event else planner.initial_run()
+            path = planner.extract_path(pos)
+        ms.append(1000 * (time.perf_counter() - t0))
+        readings.append((planner.expanded - before, gb.path_cost_of(path)))
+    return readings, ms
+
+
+def compare_repairs(trees, rounds: int):
+    """Per planner: its replay readings and both trees' (initial, summed repair) ms per round."""
+    grids = [INSTANCES[0][1](gb) for gb in trees]
+    readings = {name: set() for name in PLANNERS}
+    times = {name: ([], []) for name in PLANNERS}
+    for r in range(rounds):
+        for i, name in enumerate(PLANNERS):
+            for side in ((0, 1) if (r + i) % 2 == 0 else (1, 0)):
+                gc.collect()
+                events, ms = replay(trees[side], grids[side], name)
+                readings[name].add(tuple(events))
+                times[name][side].append((ms[0], sum(ms[1:])))
+    return readings, times
+
+
 def _row(label, expanded, a, b) -> str:
     ma, mb = statistics.median(a), statistics.median(b)
     per_round = statistics.median(y / x for x, y in zip(a, b))
     us = (f"{1000 * ma / expanded:8.2f} {1000 * mb / expanded:8.2f}" if expanded
           else f"{'':8} {'':8}")
-    return (f"  {label:10} {expanded or '':>9} {ma:9.2f} {mb:9.2f} {us} "
+    return (f"  {label:16} {expanded or '':>9} {ma:9.2f} {mb:9.2f} {us} "
             f"{mb / ma:7.3f} {per_round:9.3f}")
+
+
+HEADER = (f"  {'solver':16} {'expanded':>9} {'A ms':>9} {'B ms':>9} "
+          f"{'A us/exp':>8} {'B us/exp':>8} {'medians':>7} {'per-round':>9}")
 
 
 def main(argv=None) -> int:
@@ -87,8 +162,7 @@ def main(argv=None) -> int:
           f"{args.rounds} round(s); medians in ms; ratios are B/A")
     for title, build in INSTANCES:
         readings, times = compare(trees, build, args.rounds)
-        print(f"\n{title}\n  {'solver':10} {'expanded':>9} {'A ms':>9} {'B ms':>9} "
-              f"{'A us/exp':>8} {'B us/exp':>8} {'medians':>7} {'per-round':>9}")
+        print(f"\n{title}\n{HEADER}")
         for name, (a, b) in times.items():
             if len(readings[name]) > 1:
                 differ.append(f"{title}, {labels[name]}: (expanded, path_cost, peak) "
@@ -98,6 +172,18 @@ def main(argv=None) -> int:
         sums = [[sum(t[side][r] for t in times.values()) for r in range(args.rounds)]
                 for side in (0, 1)]
         print(_row("summed", None, *sums))
+    readings, times = compare_repairs(trees, args.rounds)
+    print(f"\nrepair path, {INSTANCES[0][0]}, {REPAIR_EVENTS} events\n{HEADER}")
+    for name, (a, b) in times.items():
+        runs = sorted(readings[name])
+        if len(runs) > 1:
+            event = next(e for e, reads in enumerate(zip(*runs)) if len(set(reads)) > 1)
+            differ.append(f"repair path, {labels[name]}: search {event} (expanded, path_cost) "
+                          f"{sorted({run[event] for run in runs})}")
+        for phase, col in (("initial", 0), ("repair", 1)):
+            expanded = runs[0][0][0] if col == 0 else sum(e for e, _ in runs[0][1:])
+            print(_row(f"{labels[name]} {phase}", expanded,
+                       [t[col] for t in a], [t[col] for t in b]))
     for line in differ:
         print(f"DIFFER: {line}", file=sys.stderr)
     return 1 if differ else 0

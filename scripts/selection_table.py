@@ -29,6 +29,7 @@ from gridbench import (  # noqa: E402
     generate_random_grid,
     generate_wall_grid,
 )
+from gridbench.grid import BLOCKED  # noqa: E402
 from gridbench.reporting import fmt3  # noqa: E402
 
 
@@ -45,7 +46,7 @@ def time_margin(ev):
 
 def describe(name, grid, reps):
     print(f"== {name}: {grid.width}x{grid.height}, "
-          f"{len(grid.blocked)} blocked, start {tuple(grid.start)} goal {tuple(grid.goal)}")
+          f"{grid.flags.count(BLOCKED)} blocked, start {tuple(grid.start)} goal {tuple(grid.goal)}")
     header = f"{'priority':<12} {'suggested':<12} {'winner':<12} {'correct':<8} margin"
     print(header)
     evaluations = {}

@@ -22,7 +22,7 @@ from .generators import (
     generate_wall_grid,
     sg_distance,
 )
-from .grid import load_grid, save_grid
+from .grid import BLOCKED, load_grid, save_grid
 from .reporting import CSV_COLUMNS, csv_fields, fmt3, parse_config, render_plots, write_csv
 from .selector import (
     DEFAULT_DISTANCE_THRESHOLD,
@@ -127,7 +127,7 @@ def _cmd_gen(args) -> int:
         spec = WallGridSpec(num_walls=args.num_walls, wall_length=args.wall_length)
         grid = generate_wall_grid(spec)
     save_grid(grid, args.out)
-    print(f"wrote {grid.width}x{grid.height} grid with {len(grid.blocked)} blocked cells to {args.out}")
+    print(f"wrote {grid.width}x{grid.height} grid with {grid.flags.count(BLOCKED)} blocked cells to {args.out}")
     return 0
 
 

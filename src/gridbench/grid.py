@@ -244,7 +244,12 @@ class Grid:
 
     @cached_property
     def blocked(self) -> frozenset:
-        """The blocked cells as ``Coord``, read from ``flags`` a row at a time."""
+        """The blocked cells as ``Coord``, read from ``flags`` a row at a time.
+
+        Built on first read.  Only the benchmark harness and the tests read
+        it; program code reads ``flags`` (``flags.count(BLOCKED)`` counts
+        the obstacles).
+        """
         width, stride = self.width, self.width + 2
         rows = (zip(compress(range(width), self.flags[i:i + width]), repeat(y))
                 for y, i in enumerate(range(stride + 1, stride * (self.height + 1), stride)))

@@ -10,9 +10,11 @@ w times the optimum for that round's w, costs never increase between
 rounds, and the w = 1 round is exact.
 
 State is kept as in ``astar``: dense g and parent arrays charged two map
-entries at a cell's first write, and an inline (f, -g, seq, id) heap
-with a ``live`` map.  The closed set is a stamp array holding the round
-that closed each cell; each first close in a round charges one set entry.
+entries at a cell's first write, and an inline (f, -g, seq, id) heap.
+Its ``live`` index is a dict, not ``astar``'s dense list, because each
+round re-opens cells in the dict's insertion order, and that order fixes
+their seqs.  The closed set is a stamp array holding the round that
+closed each cell; each first close in a round charges one set entry.
 """
 
 from __future__ import annotations
@@ -86,14 +88,13 @@ def run_detailed(grid, params: SolverParams, probe: AllocationProbe):
                 probe.expansions = nexp0 + expanded
                 on_expand(s)
             gs = g[s]
+            # one test per arc, as in ``astar``
             for off, c in table[mask[s]]:
-                n = s + off
-                ng = gs + c
-                gn = g[n]
-                if ng < gn:
-                    if gn == INF:
+                if gs + c < g[s + off]:
+                    n = s + off
+                    if g[n] == INF:
                         nbytes += 2 * MAP_ENTRY_BYTES
-                    g[n] = ng
+                    ng = g[n] = gs + c
                     parent[n] = s
                     if closed[n] == rnd:
                         if n not in incons:

@@ -268,16 +268,15 @@ class DStarPlanner:
                 on_expand(x)
             # every expansion is LOWER with k == h: a push writes only h, the
             # back-pointer and its entry; ``_live`` is derived at the stop.
-            # A cell with h = INF is NEW
+            # One test per arc: the neighbour and its new h are made only for
+            # an arc that lowers it.  A cell with h = INF is NEW
             for off, c in table[mask[x]]:
-                y = x + off
-                nh = rh + c
-                hy = h[y]
-                if hy > nh:
-                    if hy == INF:
+                if h[x + off] > rh + c:
+                    y = x + off
+                    if h[y] == INF:
                         nbytes += RECORD_ENTRY_BYTES
                     back[y] = x
-                    h[y] = nh
+                    nh = h[y] = rh + c
                     seq += 1
                     (ortho if c == 1.0 else diag).append((nh, seq, y))
                     nbytes += HEAP_ENTRY_BYTES

@@ -179,18 +179,20 @@ class GRhsPlanner:
                 # each neighbour's neighbour at the same step cost, so only
                 # the new g(u) + c can lower it (exact: min does not round).
                 # A neighbour whose rhs is not lowered keeps its entry (or
-                # its absence).  v >= rhs(n) is tested before the held bit:
-                # every finite rhs was charged at its first write, and the
-                # root, whose rhs is 0 and below every v, is never lowered
+                # its absence).  Each arc is one test, made before the held
+                # bit: every finite rhs was charged at its first write, and
+                # the root, whose rhs is 0 and below every g(u) + c, is never
+                # lowered; the neighbour and its new rhs are made only for an
+                # arc that passes
                 if not held[u] & _HAS_G:
                     held[u] |= _HAS_G
                     nbytes += MAP_ENTRY_BYTES
                 g[u] = ru
                 for off, c in table[mask[u]]:
+                    if ru + c >= rhs[u + off]:
+                        continue
                     n = u + off
                     v = ru + c
-                    if v >= rhs[n]:
-                        continue
                     if not held[n] & _HAS_RHS:
                         held[n] |= _HAS_RHS
                         nbytes += MAP_ENTRY_BYTES
@@ -216,7 +218,10 @@ class GRhsPlanner:
             # neighbour n's rhs is the least g + c over its neighbours: if
             # g_old(u) + c is not it, another neighbour attains it and rhs(n)
             # stands; only where u was the argmin (a tie included) is the
-            # full 8-neighbour minimum taken again
+            # full 8-neighbour minimum taken again.  n already holds an rhs
+            # entry: it got one when g(u) fell, or, for an arc that became
+            # usable since, from ``set_blocked``'s ``_update_vertex`` on the
+            # 3x3 block around the toggle
             g[u] = INF
             if ru != INF:
                 seq += 1
@@ -227,9 +232,6 @@ class GRhsPlanner:
             for off, c in table[mask[u]]:
                 n = u + off
                 if n != root:
-                    if not held[n] & _HAS_RHS:
-                        held[n] |= _HAS_RHS
-                        nbytes += MAP_ENTRY_BYTES
                     rn = rhs[n]
                     if gu + c != rn:
                         continue

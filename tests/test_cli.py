@@ -136,17 +136,19 @@ class TestEvaluate:
 
 
 class TestGen:
-    def test_random_grid_round_trip(self, tmp_path):
+    def test_random_grid_round_trip(self, tmp_path, capsys):
         out = str(tmp_path / "g.txt")
         assert main(["gen", "random", out, "--n", "15", "--density", "0.2",
                      "--sg-distance", "9", "--seed", "4"]) == 0
+        assert capsys.readouterr().out == f"wrote 15x15 grid with 45 blocked cells to {out}\n"
         g = load_grid(out)
         assert g.width == g.height == 15
         assert len(g.blocked) == 45  # floor(0.2 * 223 + 0.5)
 
-    def test_wall_grid(self, tmp_path):
+    def test_wall_grid(self, tmp_path, capsys):
         out = str(tmp_path / "w.txt")
         assert main(["gen", "walls", out, "--num-walls", "3", "--wall-length", "17"]) == 0
+        assert capsys.readouterr().out == f"wrote 31x71 grid with 51 blocked cells to {out}\n"
         g = load_grid(out)
         assert (g.width, g.height) == (31, 71)
         assert len(g.blocked) == 51

@@ -29,13 +29,14 @@ from gridbench import (
     generate_wall_grid,
     path_cost_of,
 )
-from gridbench.grid import OUTSIDE, SQRT2, arc_masks
+from gridbench.grid import OUTSIDE, SQRT2, arc_masks, arc_table
 from gridbench.instrumentation import (
     HEAP_ENTRY_BYTES,
     MAP_ENTRY_BYTES,
     RECORD_ENTRY_BYTES,
     AllocationProbe,
 )
+from gridbench.solvers.lpa import _HAS_RHS
 
 MAX_SIDE = 12
 
@@ -106,14 +107,30 @@ def _oracle_cost(grid, blocked, origin):
         return g, None
 
 
+def _assert_rhs_held(p):
+    """A g/rhs planner: each cell a cell with a finite g reaches by a usable arc holds rhs.
+
+    The rising-g loop of ``compute`` charges no rhs entry and relies on this:
+    the neighbour got its entry when that g fell or, for an arc a toggle made
+    usable since, from ``set_blocked``'s update of the 3x3 block around it.
+    """
+    if isinstance(p, DStarPlanner):
+        return
+    table = arc_table(p._steps)
+    assert [(s, s + off) for s, gs in enumerate(p._g) if gs != math.inf
+            for off, _ in table[p._mask[s]] if not p._held[s + off] & _HAS_RHS] == []
+
+
 def _check(planner, grid, blocked):
     """The repaired path, or None when the goal is unreachable."""
     g, expected = _oracle_cost(grid, blocked, planner.position)
     if expected is None:
         with pytest.raises(NoPathError):
             planner.repair()
+        _assert_rhs_held(planner.p)
         return None
     path = planner.repair()
+    _assert_rhs_held(planner.p)
     assert path[0] == planner.position and path[-1] == grid.goal
     for a, b in zip(path, path[1:]):
         assert b in dict(g.neighbors8(a)), (a, b)
@@ -500,6 +517,7 @@ def _event_script(planner, grid):
             path = planner.extract_path(position)
         else:
             planner.compute()
+            _assert_rhs_held(planner)
             path = planner.extract_path()
         states.append(state(planner))
         return path
