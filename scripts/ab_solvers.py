@@ -74,7 +74,8 @@ def compare(trees, build, rounds: int):
 
 
 REPAIR_EVENTS = 12
-PLANNERS = ("LPA_STAR", "D_STAR", "D_STAR_LITE")
+PLANNERS = {"LPA_STAR": "LpaStarPlanner", "D_STAR": "DStarPlanner",
+            "D_STAR_LITE": "DStarLitePlanner"}
 
 
 def replay(gb, grid, name):
@@ -90,8 +91,7 @@ def replay(gb, grid, name):
     dstar = name == "D_STAR"
     pos, blocked, readings, ms = grid.start, [], [], []
     t0 = time.perf_counter()
-    planner = getattr(gb, {"LPA_STAR": "LpaStarPlanner", "D_STAR": "DStarPlanner",
-                           "D_STAR_LITE": "DStarLitePlanner"}[name])(grid)
+    planner = getattr(gb, PLANNERS[name])(grid)
     for event in range(REPAIR_EVENTS + 1):
         before = planner.expanded
         if event:
@@ -110,10 +110,11 @@ def replay(gb, grid, name):
             planner.set_blocked(cell, flag)
         if not dstar:
             planner.compute()
-            path = planner.extract_path()
+        elif event:
+            planner.replan(pos)
         else:
-            planner.replan(pos) if event else planner.initial_run()
-            path = planner.extract_path(pos)
+            planner.initial_run()
+        path = planner.extract_path(pos) if dstar else planner.extract_path()
         ms.append(1000 * (time.perf_counter() - t0))
         readings.append((planner.expanded - before, gb.path_cost_of(path)))
     return readings, ms
@@ -151,7 +152,8 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("tree_a", help="root of the first source tree (the base of the ratios)")
     ap.add_argument("tree_b", help="root of the second source tree")
-    ap.add_argument("--rounds", type=int, default=15, help="solves per tree, solver and instance")
+    ap.add_argument("--rounds", type=int, default=15,
+                    help="solves per tree, solver and instance; replays per tree and planner")
     args = ap.parse_args(argv)
     if args.rounds < 1:
         ap.error(f"--rounds must be >= 1, got {args.rounds}")
@@ -180,8 +182,9 @@ def main(argv=None) -> int:
             event = next(e for e, reads in enumerate(zip(*runs)) if len(set(reads)) > 1)
             differ.append(f"repair path, {labels[name]}: search {event} (expanded, path_cost) "
                           f"{sorted({run[event] for run in runs})}")
-        for phase, col in (("initial", 0), ("repair", 1)):
-            expanded = runs[0][0][0] if col == 0 else sum(e for e, _ in runs[0][1:])
+        (first, _), *repairs = runs[0]
+        for phase, col, expanded in (("initial", 0, first),
+                                     ("repair", 1, sum(e for e, _ in repairs))):
             print(_row(f"{labels[name]} {phase}", expanded,
                        [t[col] for t in a], [t[col] for t in b]))
     for line in differ:

@@ -39,7 +39,7 @@ def test_same_tree_twice_agrees():
 
 
 def _copy_src(tmp_path, module, old, new):
-    """A copy of this tree's ``src`` with ``old`` replaced by ``new`` in one solver module."""
+    """A copy of this tree's ``src`` with ``old`` replaced by ``new`` in one module."""
     shutil.copytree(ROOT / "src", tmp_path / "src", ignore=shutil.ignore_patterns("__pycache__"))
     path = tmp_path / "src" / "gridbench" / module
     text = path.read_text()
