@@ -4,7 +4,7 @@
 A front end to ``gridbench sweep``.  With no plan it runs the paper
 protocol (sizes up to 300x300, 10 instances, 100 reps), which takes hours;
 --quick runs scripts/quick.cfg, a scaled-down version of the same plan, in
-about 2 s on a 2-vCPU VM.  A plan sets its seed with ``seed=``.
+1.0-1.5 s on a 2-vCPU VM.  A plan sets its seed with ``seed=``.
 
 Usage:
     python scripts/run_sweeps.py --out results [--quick]

@@ -9,6 +9,7 @@ reachability check runs two best-first searches in turn, one from the
 start toward the goal and one from the goal toward the start: it answers
 yes when they meet and no when either runs out of cells, so a sealed
 start or goal costs a few expansions, not a flood of the other side.
+A draw is checked through its ``Grid.solvable``, which the grid keeps.
 
 The obstacle draw is a partial Fisher-Yates shuffle of the cell ids that
 writes each drawn cell straight into row-major flag bytes, which
@@ -178,7 +179,7 @@ def generate_random_grid(spec: RandomGridSpec, allow_corner_cutting: bool = Fals
             blk[cells[j]] = BLOCKED
             cells[j] = cells[i]
         grid = Grid.from_cells(n, n, blk, (sx, sy), (gx, gy), allow_corner_cutting)
-        if is_solvable(grid):
+        if grid.solvable:
             return grid
     raise GenerationError(
         f"no solvable placement after {MAX_GENERATION_ATTEMPTS} attempts for {spec}"
@@ -203,7 +204,7 @@ def generate_wall_grid(spec: WallGridSpec, allow_corner_cutting: bool = False) -
         blocked.extend((x, WALL_ROW_SPACING * k) for x in range(x0, x0 + spec.wall_length))
     grid = Grid(WALL_GRID_WIDTH, WALL_GRID_HEIGHT, blocked, WALL_GRID_START, WALL_GRID_GOAL,
                 allow_corner_cutting)
-    if not is_solvable(grid):
+    if not grid.solvable:
         raise GenerationError(f"wall grid for {spec} is unsolvable")
     return grid
 

@@ -183,8 +183,9 @@ class Grid:
     is FREE or BLOCKED and the border reads OUTSIDE.  ``flags`` is the
     grid's only copy of its obstacles.  ``Coord`` appears only at the API
     boundary (start, goal, paths in and out, ``blocked``).  ``blocked`` (a
-    frozenset of ``Coord``) and ``masks`` (its ``arc_masks``) are derived
-    from ``flags`` on first read and kept, outside equality and hashing.
+    frozenset of ``Coord``), ``masks`` (its ``arc_masks``) and ``solvable``
+    (whether the goal is reachable) are derived from ``flags`` on first
+    read and kept, outside equality and hashing.
     """
 
     width: int
@@ -260,6 +261,12 @@ class Grid:
     def masks(self) -> bytes:
         """``arc_masks(flags, steps)`` of this grid, built once on first read."""
         return bytes(arc_masks(self.flags, self.steps))
+
+    @cached_property
+    def solvable(self) -> bool:
+        """``generators.is_solvable(self)``, decided on first read; generated grids carry it."""
+        from . import generators  # it imports this module
+        return generators.is_solvable(self)
 
     def in_bounds(self, c) -> bool:
         return 0 <= c[0] < self.width and 0 <= c[1] < self.height

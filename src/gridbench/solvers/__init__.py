@@ -1,14 +1,16 @@
 """The solver suite behind one uniform contract.
 
 ``solve`` dispatches on AlgorithmId, wires in an allocation probe, and
-wraps the result into a SearchOutcome.  Every euclidean-guided solver in
-the suite raises NoPathError on exactly the unsolvable grids.
+wraps the result into a SearchOutcome.  It raises NoPathError on exactly
+the unsolvable grids, before any solver runs: ``Grid.solvable`` decides
+reachability once per grid, outside the timed region.
 """
 
 from __future__ import annotations
 
 import time
 
+from ..errors import NoPathError
 from ..instrumentation import AllocationProbe
 from .common import (
     INF,
@@ -41,7 +43,10 @@ def solve(grid, algo: AlgorithmId, params: SolverParams | None = None,
     params = params or SolverParams()
     probe = probe or AllocationProbe()
     runner = _RUNNERS[AlgorithmId(algo)]
-    grid.masks  # built on a grid's first solve, outside the timed region
+    # a grid's reachability and masks are built on its first solve, outside the timed region
+    if not grid.solvable:
+        raise NoPathError(f"goal {tuple(grid.goal)} unreachable from {tuple(grid.start)}")
+    grid.masks
     t0 = time.perf_counter()
     path, cost, expanded = runner(grid, params, probe)
     elapsed_ms = (time.perf_counter() - t0) * 1000.0

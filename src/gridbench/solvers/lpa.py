@@ -123,8 +123,7 @@ class GRhsPlanner:
         g, rhs, held, mask, table = self._g, self._rhs, self._held, self._mask, self._table
         heap, live, queued, probe = self._heap, self._live, self._queued, self.probe
         seq, fresh = self._seq, self._fresh
-        target, root, stride, tx, ty, k_m = (self._target, self._root, self._stride,
-                                             self._tx, self._ty, self._k_m)
+        target, stride, tx, ty, k_m = self._target, self._stride, self._tx, self._ty, self._k_m
         # The steps of ``_update_vertex`` (the key, the queue step and the
         # first-write charges) are written out, and the probe's bytes and
         # this call's expansions are kept in locals, written back before
@@ -217,11 +216,11 @@ class GRhsPlanner:
             # neighbour's g changed, so rhs(u) keeps its exact value.  A
             # neighbour n's rhs is the least g + c over its neighbours: if
             # g_old(u) + c is not it, another neighbour attains it and rhs(n)
-            # stands; only where u was the argmin (a tie included) is the
-            # full 8-neighbour minimum taken again.  n already holds an rhs
-            # entry: it got one when g(u) fell, or, for an arc that became
-            # usable since, from ``set_blocked``'s ``_update_vertex`` on the
-            # 3x3 block around the toggle
+            # stands, as the root's 0 always does; only where u was the argmin
+            # (a tie included) is the full 8-neighbour minimum taken again.  n
+            # already holds an rhs entry: it got one when g(u) fell, or, for
+            # an arc that became usable since, from ``set_blocked``'s
+            # ``_update_vertex`` on the 3x3 block around the toggle
             g[u] = INF
             if ru != INF:
                 seq += 1
@@ -231,32 +230,30 @@ class GRhsPlanner:
                 nbytes += HEAP_ENTRY_BYTES
             for off, c in table[mask[u]]:
                 n = u + off
-                if n != root:
-                    rn = rhs[n]
-                    if gu + c != rn:
-                        continue
-                    # n is free (no usable arc leads to a blocked cell)
-                    best = INF
-                    for oj, cj in table[mask[n]]:
-                        v = g[n + oj] + cj
-                        if v < best:
-                            best = v
-                    if best == rn:
-                        continue
-                    rhs[n] = best
-                    gn = g[n]
-                    if gn != best:
-                        m = gn if gn < best else best
-                        seq += 1
-                        if not live[n]:
-                            queued += 1
-                        live[n] = seq
-                        heappush(heap, (m + hypot(tx - n % stride, ty - n // stride) + k_m, m,
-                                        seq, n))
-                        nbytes += HEAP_ENTRY_BYTES
-                    else:  # consistent now, so it was queued under its old rhs
-                        live[n] = 0
-                        queued -= 1
+                rn = rhs[n]
+                if gu + c != rn:
+                    continue
+                # n is free (no usable arc leads to a blocked cell)
+                best = INF
+                for oj, cj in table[mask[n]]:
+                    v = g[n + oj] + cj
+                    if v < best:
+                        best = v
+                if best == rn:
+                    continue
+                rhs[n] = best
+                gn = g[n]
+                if gn != best:
+                    m = gn if gn < best else best
+                    seq += 1
+                    if not live[n]:
+                        queued += 1
+                    live[n] = seq
+                    heappush(heap, (m + hypot(tx - n % stride, ty - n // stride) + k_m, m, seq, n))
+                    nbytes += HEAP_ENTRY_BYTES
+                else:  # consistent now, so it was queued under its old rhs
+                    live[n] = 0
+                    queued -= 1
             if nbytes > peak:
                 peak = nbytes
         self._queued, self._seq = queued, seq

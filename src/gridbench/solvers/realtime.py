@@ -37,7 +37,7 @@ from heapq import heapify, heappop, heappush
 from math import hypot
 
 from ..errors import InvalidCellError, NoPathError
-from ..grid import SQRT2, arc_table
+from ..grid import arc_table
 from ..instrumentation import (
     ARRAY_SLOT_BYTES,
     HEAP_ENTRY_BYTES,
@@ -53,6 +53,9 @@ class RealTimeAgent:
     """Stepwise driver, exposed so tests can inspect per-episode state."""
 
     def __init__(self, grid, params: SolverParams, probe: AllocationProbe, adaptive: bool):
+        # complete on a solvable grid: a lookahead pops the goal before its open list runs out
+        if not grid.solvable:
+            raise NoPathError(f"goal {tuple(grid.goal)} unreachable from {tuple(grid.start)}")
         self.grid = grid
         self.params = params
         self.probe = probe
@@ -78,15 +81,11 @@ class RealTimeAgent:
         # flags it is substrate, not search state
         self._mask = grid.masks
         self._table = arc_table(grid.steps)
-        self._arrays_live = True
         self._episode = 0
         self._pos = grid.index(grid.start)
         self.path = [grid.start]
         self.expanded = 0
         self.done = False
-        # any finite shortest path costs less than sqrt(2) x cell count;
-        # stored h climbing past this bound proves the goal unreachable
-        self._h_cap = self._ncells * SQRT2 + 1.0
         self._closed = []  # ids expanded by the most recent episode
         self._open = {}  # ids on its open list when its lookahead stopped
 
@@ -119,11 +118,6 @@ class RealTimeAgent:
             h = self._h[i] = hypot(i % s - self._gx, i // s - self._gy)
         return h
 
-    def _release_arrays(self) -> None:
-        if self._arrays_live:
-            self.probe.free(_N_ARRAYS * self._ncells * ARRAY_SLOT_BYTES)
-            self._arrays_live = False
-
     def run_episode(self) -> bool:
         """One plan/update/move cycle; returns True once the goal is reached."""
         if self.done:
@@ -153,7 +147,7 @@ class RealTimeAgent:
         budget = self.params.lookahead
         expd, nexp0, on_expand = 0, probe.expansions, probe.on_expand
         reached = False
-        while live and expd < budget:
+        while expd < budget:
             while True:
                 _, _, sq, si = heappop(heap)
                 nbytes -= HEAP_ENTRY_BYTES
@@ -196,20 +190,13 @@ class RealTimeAgent:
 
         if not reached:
             # peek at the best frontier entry, discarding stale ones on the way
-            while heap:
-                top = heap[0]
-                if live.get(top[3]) == top[2]:
-                    break
+            while live.get(heap[0][3]) != heap[0][2]:
                 heappop(heap)
                 nbytes -= HEAP_ENTRY_BYTES
         probe.live_bytes, probe.peak_bytes, probe.expansions = nbytes, peak, nexp0 + expd
 
         if reached:
             best = goal
-        elif not heap:
-            self._finish_episode(heap, closed)
-            self._release_arrays()
-            raise NoPathError(f"goal {tuple(grid.goal)} unreachable from {tuple(grid.start)}")
         else:
             best = heap[0][3]
             if self.adaptive:
@@ -223,14 +210,12 @@ class RealTimeAgent:
         # to the best frontier cell stays valid while the agent walks all of it
         for step in self._chain_to(best, oi):
             self._step(step)
-        self._finish_episode(heap, closed)
+        # free the episode's open-list entries, stale ones included, and its closed stack
+        probe.free(HEAP_ENTRY_BYTES * len(heap) + ARRAY_SLOT_BYTES * len(closed))
         if self._pos == goal:
             self.done = True
-            self._release_arrays()
+            probe.free(_N_ARRAYS * self._ncells * ARRAY_SLOT_BYTES)
             return True
-        if h_arr[self._pos] > self._h_cap:
-            self._release_arrays()
-            raise NoPathError(f"goal {tuple(grid.goal)} unreachable from {tuple(grid.start)}")
         return False
 
     def _step(self, i: int) -> None:
@@ -248,10 +233,6 @@ class RealTimeAgent:
             ci = tree[ci]
         out.reverse()
         return out
-
-    def _finish_episode(self, heap: list, closed: list) -> None:
-        """Free the episode's open-list entries, stale ones included, and its closed stack."""
-        self.probe.free(HEAP_ENTRY_BYTES * len(heap) + ARRAY_SLOT_BYTES * len(closed))
 
     def _learning_backup(self, frontier: list, closed: list, eid: int) -> None:
         """Dijkstra from the frontier into this episode's expanded region.

@@ -79,6 +79,16 @@ class TestSolve:
         assert main(["solve", unsolvable_file, "--algo", "ASTAR_ORACLE"]) == 1
         assert "no path" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("algo", ["lrta*", "rtaa*"], ids=("lrta", "rtaa"))
+    def test_agent_no_path_on_sealed_goal(self, tmp_path, capsys, algo):
+        # the goal ringed by its 8 neighbours: the agents stop before their first episode
+        ring = frozenset(Coord(55 + dx, 55 + dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1)
+                         if dx or dy)
+        path = tmp_path / "sealed60.txt"
+        save_grid(Grid(60, 60, ring, (0, 0), (55, 55)), path)
+        assert main(["solve", str(path), "--algo", algo]) == 1
+        assert "no path" in capsys.readouterr().out
+
     def test_missing_file(self, capsys):
         assert main(["solve", "does-not-exist.txt", "--algo", "ASTAR_ORACLE"]) == 1
 

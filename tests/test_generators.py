@@ -23,7 +23,7 @@ from gridbench import (
     parse_grid,
     wall_length_sequence,
 )
-from gridbench import grid as gridmod
+from gridbench import generators as genmod, grid as gridmod
 from gridbench.generators import _distance_ring
 from gridbench.grid import NEIGHBOR_STEPS, SQRT2
 from helpers import grid_neighbors
@@ -272,6 +272,59 @@ class TestSolvability:
         assert len(calls) <= 4
         calls.clear()
         assert is_solvable(g) and len(calls) > 4
+
+
+class TestGridSolvable:
+    """``Grid.solvable``: ``is_solvable`` of the grid, decided on first read and kept."""
+
+    @pytest.fixture()
+    def calls(self, monkeypatch):
+        """The grids ``generators.is_solvable`` is called on, in order."""
+        seen = []
+
+        def counted(grid):
+            seen.append(grid)
+            return is_solvable(grid)
+
+        monkeypatch.setattr(genmod, "is_solvable", counted)
+        return seen
+
+    def test_cached_outside_equality_and_hash(self, calls):
+        cut = frozenset(Coord(x, 2) for x in range(5))
+        a, b = (Grid(5, 5, cut, (0, 0), (4, 4)) for _ in range(2))
+        assert a == b and hash(a) == hash(b)
+        assert a.solvable is False and a.solvable is False
+        assert len(calls) == 1 and calls[0] is a
+        assert "solvable" not in vars(b)
+        assert a == b and hash(a) == hash(b)
+        open_grid = Grid(5, 5, frozenset(), (0, 0), (4, 4))
+        assert open_grid.solvable is True and len(calls) == 2
+
+    def test_one_call_per_random_draw(self, calls, monkeypatch):
+        # 28 draws, 27 of them rejected: one check per draw, none after
+        draws = []
+        from_cells = Grid.from_cells
+
+        def counted(*args):
+            grid = from_cells(*args)
+            draws.append(grid)
+            return grid
+
+        monkeypatch.setattr(Grid, "from_cells", staticmethod(counted))
+        g = generate_random_grid(RandomGridSpec(30, 0.45, 20.0, 0))
+        assert len(calls) == len(draws) == 28
+        assert all(c is d for c, d in zip(calls, draws))
+        assert vars(g)["solvable"] is True
+        g.solvable
+        assert len(calls) == 28
+
+    def test_generated_grids_carry_the_bit(self, calls):
+        grids = [generate_random_grid(RandomGridSpec(20, 0.25, 12.0, seed)) for seed in range(3)]
+        grids.append(generate_wall_grid(WallGridSpec(7, 21)))
+        assert len(calls) >= 4 and calls[-1] is grids[-1]
+        n = len(calls)
+        assert all(vars(g)["solvable"] is True and g.solvable for g in grids)
+        assert len(calls) == n
 
 
 def grid_digest(grid) -> str:

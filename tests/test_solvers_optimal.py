@@ -15,7 +15,14 @@ from gridbench import (
     solve,
 )
 from gridbench.instrumentation import AllocationProbe
-from gridbench.solvers import DStarLitePlanner, DStarPlanner, LpaStarPlanner
+from gridbench.solvers import (
+    _RUNNERS,
+    DStarLitePlanner,
+    DStarPlanner,
+    LpaStarPlanner,
+    RealTimeAgent,
+    SolverParams,
+)
 from helpers import assert_valid_path, bellman_ford_cost
 
 SQRT2 = math.sqrt(2)
@@ -54,10 +61,11 @@ def empty_grid(w, h, start=(0, 0), goal=None):
 
 
 # algorithm -> (expansions, live_bytes, peak_bytes) after the NoPathError
-# on enclosed_goal_grid()
+# of its own module runner on enclosed_goal_grid(), solve()'s check bypassed.
+# A real-time agent refuses the grid before it charges anything
 NO_PATH_PROBE = {
-    AlgorithmId.LRTA_STAR: (27, 0, 2432),
-    AlgorithmId.RTAA_STAR: (27, 0, 2432),
+    AlgorithmId.LRTA_STAR: (0, 0, 0),
+    AlgorithmId.RTAA_STAR: (0, 0, 0),
     AlgorithmId.ARA_STAR: (27, 5112, 5448),
     AlgorithmId.LPA_STAR: (27, 3888, 3952),
     AlgorithmId.D_STAR: (1, 136, 224),
@@ -66,9 +74,11 @@ NO_PATH_PROBE = {
 }
 
 
-def enclosed_goal_grid():
-    ring = {(2, 2), (3, 2), (4, 2), (2, 3), (4, 3), (2, 4), (3, 4), (4, 4)}
-    return Grid(6, 6, frozenset(Coord(*c) for c in ring), (0, 0), (3, 3))
+def enclosed_goal_grid(n=6, goal=(3, 3)):
+    """An n x n grid, start (0, 0), with the goal ringed by its 8 neighbours."""
+    gx, gy = goal
+    ring = {(gx + dx, gy + dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1) if dx or dy}
+    return Grid(n, n, frozenset(Coord(*c) for c in ring), (0, 0), goal)
 
 
 class TestOracle:
@@ -116,12 +126,33 @@ class TestSolveContract:
 
     @pytest.mark.parametrize("algo", ALL_ALGOS, ids=lambda a: a.value)
     def test_no_path_raised_by_every_solver(self, algo):
+        # solve() decides reachability before any solver runs or charges
+        probe = AllocationProbe()
+        with pytest.raises(NoPathError, match="unreachable"):
+            solve(enclosed_goal_grid(), algo, probe=probe)
+        assert (probe.expansions, probe.live_bytes, probe.peak_bytes) == (0, 0, 0)
+        # each solver's own detection, solve()'s check bypassed.  The
+        # probe's readings at the raise: a solver that keeps its byte
+        # counts in locals must have written them back first
         probe = AllocationProbe()
         with pytest.raises(NoPathError):
-            solve(enclosed_goal_grid(), algo, probe=probe)
-        # the probe's readings at the raise: a solver that keeps its byte
-        # counts in locals must have written them back first
+            _RUNNERS[algo](enclosed_goal_grid(), SolverParams(), probe)
         assert (probe.expansions, probe.live_bytes, probe.peak_bytes) == NO_PATH_PROBE[algo]
+
+    def test_sealed_300_goal_ends_before_any_charge(self):
+        # every solve() ends before its solver runs, and so does a directly
+        # built agent; the counts are asserted, not a time
+        g = enclosed_goal_grid(300, (295, 295))
+        for algo in ALL_ALGOS:
+            probe = AllocationProbe()
+            with pytest.raises(NoPathError, match="unreachable"):
+                solve(g, algo, probe=probe)
+            assert (probe.expansions, probe.live_bytes, probe.peak_bytes) == (0, 0, 0), algo
+        for adaptive in (False, True):
+            probe = AllocationProbe()
+            with pytest.raises(NoPathError, match="unreachable"):
+                RealTimeAgent(enclosed_goal_grid(300, (295, 295)), SolverParams(), probe, adaptive)
+            assert (probe.expansions, probe.live_bytes, probe.peak_bytes) == (0, 0, 0)
 
     @pytest.mark.parametrize("algo", ALL_ALGOS, ids=lambda a: a.value)
     def test_deterministic_path_and_expansions(self, algo):
@@ -142,12 +173,14 @@ class TestSolveContract:
             blocked = frozenset(Coord(*c) for c in cells[2:2 + rng.randrange(5, 25)])
             g = Grid(n, n, blocked, cells[0], cells[1])
             failures = set()
+            # the module runners, not solve(): each solver's own detection
             for algo in ALL_ALGOS:
                 try:
-                    solve(g, algo)
+                    _RUNNERS[algo](g, SolverParams(), AllocationProbe())
                 except NoPathError:
                     failures.add(algo)
             assert failures in (set(), set(ALL_ALGOS)), f"asymmetric no-path on seed {seed}"
+            assert (failures == set()) == g.solvable, f"is_solvable disagrees on seed {seed}"
             if failures:
                 tested += 1
         assert tested > 0

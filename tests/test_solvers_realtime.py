@@ -175,11 +175,11 @@ def test_episode_walks_to_a_frontier_cell(adaptive, lookahead):
 
 @pytest.mark.parametrize("adaptive", (False, True), ids=("lrta", "rtaa"))
 def test_live_bytes_zero_after_no_path(adaptive):
+    # a directly built agent refuses an unsolvable grid before it charges anything
     probe = AllocationProbe()
-    agent = RealTimeAgent(SEALED_GOAL, SolverParams(), probe, adaptive)
-    with pytest.raises(NoPathError):
-        agent.run()
-    assert probe.live_bytes == 0
+    with pytest.raises(NoPathError, match="unreachable"):
+        RealTimeAgent(SEALED_GOAL, SolverParams(), probe, adaptive)
+    assert (probe.expansions, probe.live_bytes, probe.peak_bytes) == (0, 0, 0)
 
 
 def test_h_value_rejects_out_of_bounds_cells():
