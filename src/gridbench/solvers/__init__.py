@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import time
 
-from ..errors import NoPathError
 from ..instrumentation import AllocationProbe
 from .common import (
     INF,
     AlgorithmId,
     SearchOutcome,
     SolverParams,
+    check_solvable,
     path_cost_of,
 )
 from . import ara, astar, dstar, dstar_lite, lpa, realtime
@@ -44,8 +44,7 @@ def solve(grid, algo: AlgorithmId, params: SolverParams | None = None,
     probe = probe or AllocationProbe()
     runner = _RUNNERS[AlgorithmId(algo)]
     # a grid's reachability and masks are built on its first solve, outside the timed region
-    if not grid.solvable:
-        raise NoPathError(f"goal {tuple(grid.goal)} unreachable from {tuple(grid.start)}")
+    check_solvable(grid, grid.flags)
     grid.masks
     t0 = time.perf_counter()
     path, cost, expanded = runner(grid, params, probe)

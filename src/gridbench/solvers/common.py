@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Tuple
 
-from ..errors import InvalidCellError, InvalidSpecError
+from ..errors import InvalidCellError, InvalidSpecError, NoPathError
 from ..grid import BLOCKED, FREE, OUTSIDE, Coord, step_cost
 
 INF = math.inf
@@ -94,6 +94,19 @@ def path_cost_of(path) -> float:
     return cost
 
 
+def cell_id(grid, cell) -> int:
+    """``grid.index(cell)``; raises InvalidCellError for a cell outside the grid."""
+    if not grid.in_bounds(cell):
+        raise InvalidCellError(f"{tuple(cell)} is out of bounds")
+    return grid.index(cell)
+
+
+def check_solvable(grid, flags) -> None:
+    """Raise NoPathError if ``flags`` equal the grid's own and ``Grid.solvable`` is False."""
+    if flags == grid.flags and not grid.solvable:
+        raise NoPathError(f"goal {tuple(grid.goal)} unreachable from {tuple(grid.start)}")
+
+
 def toggle_cell(grid, flags, cell, blocked: bool, fixed, why: str) -> int:
     """Apply an obstacle toggle to a planner's flag copy; returns the cell's id.
 
@@ -102,9 +115,7 @@ def toggle_cell(grid, flags, cell, blocked: bool, fixed, why: str) -> int:
     cell = (cell[0], cell[1])
     if cell in fixed:
         raise InvalidCellError(f"cannot toggle {cell}: {why}")
-    if not grid.in_bounds(cell):
-        raise InvalidCellError(f"cannot toggle {cell}: out of bounds")
-    i = grid.index(cell)
+    i = cell_id(grid, cell)
     flags[i] = BLOCKED if blocked else FREE
     return i
 

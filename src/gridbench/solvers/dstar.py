@@ -8,16 +8,17 @@ states that first try to reroute through a settled neighbor, entries with
 k == h are LOWER states that propagate improvements to their neighbors.
 On an arc-cost change (an obstacle toggled), affected CLOSED cells
 re-enter the open list and processing resumes until the robot's cell is
-again provably optimal.  ``replan`` drives the RAISE/LOWER loop
-(``_run``); ``initial_run`` is a backward uniform-cost sweep with its
-own loop.  The sweep is exact because h only falls during a first
-search, so every queued cell has k == h.  Hence no RAISE state occurs,
-and a LOWER expansion improves a neighbor only where its h exceeds the
-new cost: a back-pointer child's h came from an h of its parent that was
-no lower.  Toggles made before the run only add INF arcs, which no
-back-pointer crosses yet, so dirty cells walk their masks in the sweep
-too.  The whole record store is kept; its footprint is part of what the
-benchmarks measure.
+again provably optimal.  ``plan(position)`` (LPA*'s and D* Lite's too)
+runs ``initial_run`` once, then ``replan(position)``.  ``replan`` drives
+the RAISE/LOWER loop (``_run``); ``initial_run`` is a backward
+uniform-cost sweep with its own loop.  The sweep is exact because h only
+falls during a first search, so every queued cell has k == h.  Hence no
+RAISE state occurs, and a LOWER expansion improves a neighbor only where
+its h exceeds the new cost: a back-pointer child's h came from an h of
+its parent that was no lower.  Toggles made before the run only add INF
+arcs, which no back-pointer crosses yet, so dirty cells walk their masks
+in the sweep too.  The whole record store is kept; its footprint is part
+of what the benchmarks measure.
 The store is three dense lists indexed by padded id: h, the back-pointer
 and ``_live``, each queued cell's current (k, seq, id) heap entry (None
 where no entry counts).  The tag and k of a record are read from them: a
@@ -56,10 +57,10 @@ from __future__ import annotations
 from collections import deque
 from heapq import heappop, heappush, merge
 
-from ..errors import InvalidCellError, NoPathError
+from ..errors import NoPathError
 from ..grid import OUTSIDE, arc_table, refresh_arc_masks
 from ..instrumentation import HEAP_ENTRY_BYTES, RECORD_ENTRY_BYTES, AllocationProbe
-from .common import INF, SolverParams, path_cost_of, toggle_cell
+from .common import INF, SolverParams, cell_id, check_solvable, path_cost_of, toggle_cell
 
 
 class DStarPlanner:
@@ -315,17 +316,21 @@ class DStarPlanner:
             if self._live[s] is None and not (h[s] == INF and back[s] < 0):
                 self._insert(s, h[s])
 
-    def _cell_id(self, cell) -> int:
-        if not self.grid.in_bounds(cell):
-            raise InvalidCellError(f"{tuple(cell)} is out of bounds")
-        return self.grid.index(cell)
-
     def replan(self, position) -> None:
         """Process until the cost at ``position`` is again provably optimal."""
-        self._run(self._cell_id(position))
+        self._run(cell_id(self.grid, position))
+
+    def plan(self, position) -> list:
+        """``initial_run`` on the first call, then ``replan(position)``; the path from there."""
+        cell_id(self.grid, position)
+        if not self.expanded:
+            check_solvable(self.grid, self._flags)
+            self.initial_run()
+        self.replan(position)
+        return self.extract_path(position)
 
     def extract_path(self, origin=None) -> list:
-        origin = self._cell_id(origin if origin is not None else self.grid.start)
+        origin = cell_id(self.grid, origin if origin is not None else self.grid.start)
         coord = self.grid.coord
         if self._h[origin] == INF:
             raise NoPathError(f"no path from {tuple(coord(origin))} to {tuple(self.grid.goal)}")

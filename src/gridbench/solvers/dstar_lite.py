@@ -4,6 +4,8 @@ The g/rhs core of ``lpa`` rooted at the goal, keys aimed at the agent.
 Each obstacle change first adds the straight-line distance the agent
 covered since the last one to k_m, which keeps every stale key a lower
 bound, so moving forces no re-sort; stale keys are refreshed on pop.
+``plan(position)`` aims the keys at ``position`` as ``advance`` would step
+there; a move made after toggles it has not planned for enters k_m at once.
 """
 
 from __future__ import annotations

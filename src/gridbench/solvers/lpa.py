@@ -9,13 +9,15 @@ is the greedy descent along g from the target to the root.  On a static
 grid that is A* from the root; after an obstacle change, ``set_blocked``
 re-queues only the affected cells.  LPA* roots the search at the start
 and aims at the goal (k_m stays 0); D* Lite (``dstar_lite``) roots it at
-the goal and aims at the moving agent.  Each planner walks its cells'
-usable arcs through its own copy of ``Grid.masks``, and ``set_blocked``
-refreshes the masks of the cells around a toggle.  ``compute`` walks the
-arcs of an expansion whose g falls (every expansion of a first search)
-in a loop of its own, which can skip a neighbour on its rhs alone; the
-rarer rising g keeps the general loop.  The open list's index is dense:
-one seq per padded id, 0 where the cell is not queued.
+the goal and aims at the moving agent.  ``plan(position)`` (D*'s too)
+repairs for an agent at ``position``; LPA* accepts only its start.  Each
+planner walks its cells' usable arcs through its own copy of
+``Grid.masks``, and ``set_blocked`` refreshes the masks of the cells
+around a toggle.  ``compute`` walks the arcs of an expansion whose g
+falls (every expansion of a first search) in a loop of its own, which can
+skip a neighbour on its rhs alone; the rarer rising g keeps the general
+loop.  The open list's index is dense: one seq per padded id, 0 where the
+cell is not queued.
 """
 
 from __future__ import annotations
@@ -23,11 +25,11 @@ from __future__ import annotations
 from heapq import heappop, heappush
 from math import hypot
 
-from ..errors import NoPathError
+from ..errors import InvalidCellError, NoPathError
 from ..grid import arc_table, refresh_arc_masks
 from ..grid import neighbor_cells  # noqa: F401  (perfbench's tracer patches this name)
 from ..instrumentation import HEAP_ENTRY_BYTES, MAP_ENTRY_BYTES, AllocationProbe
-from .common import INF, SolverParams, cells_around, toggle_cell
+from .common import INF, SolverParams, cell_id, cells_around, check_solvable, toggle_cell
 
 _HAS_G, _HAS_RHS = 1, 2  # bits of GRhsPlanner._held
 
@@ -76,6 +78,7 @@ class GRhsPlanner:
         self._aim(grid.index(target))
         self._last = self._target
         self._k_m = 0.0
+        self._planned = 0  # ``_seq`` at the end of the last ``plan``
         self._set_rhs(self._root, 0.0)
         self._update_vertex(self._root)
 
@@ -262,17 +265,21 @@ class GRhsPlanner:
         if g[target] == INF:
             raise self._no_path()
 
+    def _take_move(self) -> None:
+        """Add the target's move since the last k_m change to k_m."""
+        last, stride = self._last, self._stride
+        if last != self._target:
+            self._k_m += hypot(last % stride - self._tx, last // stride - self._ty)
+            self._last = self._target
+            self._fresh = self._seq
+
     def set_blocked(self, cell, blocked: bool = True) -> None:
         """Apply an obstacle change, add the target's move since the last one to k_m, re-queue."""
         ends = (self.grid.coord(self._root), self.grid.coord(self._target))
         i = toggle_cell(self.grid, self._flags, cell, blocked, ends,
                         "path ends must stay traversable")
-        stride, last = self._stride, self._last
-        if last != self._target:
-            self._k_m += hypot(last % stride - self._tx, last // stride - self._ty)
-            self._last = self._target
-            self._fresh = self._seq
-        around = cells_around(i, self._flags, stride)
+        self._take_move()
+        around = cells_around(i, self._flags, self._stride)
         refresh_arc_masks(self._mask, around, self._flags, self._steps)
         self._update_vertex(i)
         for j in around:
@@ -315,6 +322,22 @@ class GRhsPlanner:
         if self._forward:
             path.reverse()
         return self.grid.coords(path)
+
+    def plan(self, position) -> list:
+        """The optimal path from ``position``: LPA*'s start, or D* Lite's agent, aimed at."""
+        i = cell_id(self.grid, position)
+        if self._forward:
+            if i != self._root:
+                raise InvalidCellError(f"LPA* plans from its start, not {tuple(position)}")
+        elif i != self._target:
+            self._aim(i)
+            if self._seq != self._planned:  # keys queued since the last plan: k_m takes the move
+                self._take_move()
+        if not self.expanded and i == self.grid.index(self.grid.start):
+            check_solvable(self.grid, self._flags)
+        self.compute()
+        self._planned = self._seq
+        return self.extract_path()
 
     def solve(self) -> tuple:
         self.compute()

@@ -36,7 +36,6 @@ from __future__ import annotations
 from heapq import heapify, heappop, heappush
 from math import hypot
 
-from ..errors import InvalidCellError, NoPathError
 from ..grid import arc_table
 from ..instrumentation import (
     ARRAY_SLOT_BYTES,
@@ -44,7 +43,7 @@ from ..instrumentation import (
     SET_ENTRY_BYTES,
     AllocationProbe,
 )
-from .common import INF, SolverParams, path_cost_of
+from .common import INF, SolverParams, cell_id, check_solvable, path_cost_of
 
 _N_ARRAYS = 5  # h, g, tree, generated-counter, expanded-counter (negated once settled)
 
@@ -54,8 +53,7 @@ class RealTimeAgent:
 
     def __init__(self, grid, params: SolverParams, probe: AllocationProbe, adaptive: bool):
         # complete on a solvable grid: a lookahead pops the goal before its open list runs out
-        if not grid.solvable:
-            raise NoPathError(f"goal {tuple(grid.goal)} unreachable from {tuple(grid.start)}")
+        check_solvable(grid, grid.flags)
         self.grid = grid
         self.params = params
         self.probe = probe
@@ -106,9 +104,7 @@ class RealTimeAgent:
 
     def h_value(self, c) -> float:
         """Current stored heuristic for a cell."""
-        if not self.grid.in_bounds(c):
-            raise InvalidCellError(f"{tuple(c)} is out of bounds")
-        return self._h_at(self.grid.index(c))
+        return self._h_at(cell_id(self.grid, c))
 
     def _h_at(self, i: int) -> float:
         """h of padded id ``i``: the straight-line distance until learning raises it."""

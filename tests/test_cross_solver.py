@@ -126,9 +126,8 @@ def test_every_solver_shares_one_mask_build(monkeypatch):
     grid = generate_random_grid(RandomGridSpec(n=20, density=0.3, sg_distance=12, seed=1))
     for algo in AlgorithmId:
         solve(grid, algo)
-    for cls in (LpaStarPlanner, DStarLitePlanner):
-        cls(grid).compute()
-    DStarPlanner(grid).initial_run()
+    for cls in (LpaStarPlanner, DStarPlanner, DStarLitePlanner):
+        cls(grid).plan(grid.start)
     assert len(builds) == 1
 
 

@@ -1,10 +1,13 @@
 """Incremental planners stay exact under any sequence of obstacle toggles.
 
 LPA*, D* and D* Lite repair their solution after every block or unblock;
-D* Lite also moves its agent between toggles.  After each change the
-repaired path must be a legal chain on the modified grid and cost exactly
-what the A* oracle finds on that grid from the agent's cell, and the
-planner must report NoPathError exactly when the oracle does.
+D* and D* Lite also move their agent between toggles.  Every driver here
+calls the one contract the three share, ``set_blocked`` and
+``plan(position)``; the agent's cell is the driver's, and LPA* does not
+move.  After each change the repaired path must be a legal chain on the
+modified grid and cost exactly what the A* oracle finds on that grid from
+the agent's cell, and the planner must report NoPathError exactly when the
+oracle does.
 """
 
 import hashlib
@@ -42,60 +45,19 @@ MAX_SIDE = 12
 
 # ("toggle", x, y) flips any cell; ("near", k, d) flips the cell at offset d
 # (of the 3x3 block) from the k-th cell of the current path, where repairs
-# do real work; ("advance", k, 0) moves the D* Lite agent k steps (a no-op
-# for the planners without an agent)
+# do real work; ("advance", k, planned) moves the agent k steps along that
+# path (a no-op for LPA*, which does not move) and, unless ``planned``, makes
+# the next toggle before the agent plans from its new cell
 OPS = st.lists(
     st.one_of(
         st.tuples(st.just("toggle"), st.integers(0, MAX_SIDE - 1), st.integers(0, MAX_SIDE - 1)),
         st.tuples(st.just("near"), st.integers(0, 4 * MAX_SIDE), st.integers(0, 8)),
-        st.tuples(st.just("advance"), st.integers(1, 3), st.just(0)),
+        st.tuples(st.just("advance"), st.integers(1, 3), st.booleans()),
     ),
     max_size=8,
 )
-
-
-class _Lpa:
-    def __init__(self, grid):
-        self.p = LpaStarPlanner(grid)
-        self.position = grid.start
-
-    def repair(self):
-        self.p.compute()
-        return self.p.extract_path()
-
-    def toggle(self, cell, blocked):
-        self.p.set_blocked(cell, blocked)
-
-
-class _DStar:
-    def __init__(self, grid, probe=None):
-        self.p = DStarPlanner(grid, probe)
-        self.p.initial_run()
-        self.position = grid.start
-
-    def repair(self):
-        self.p.replan(self.position)
-        return self.p.extract_path(self.position)
-
-    def toggle(self, cell, blocked):
-        self.p.set_blocked(cell, blocked)
-
-
-class _DStarLite:
-    def __init__(self, grid):
-        self.p = DStarLitePlanner(grid)
-        self.position = grid.start
-
-    def repair(self):
-        self.p.compute()
-        return self.p.extract_path()
-
-    def toggle(self, cell, blocked):
-        self.p.set_blocked(cell, blocked)
-
-    def advance(self, steps):
-        self.p.advance(steps)
-        self.position = self.p.position
+PLANNERS = {"LPA*": LpaStarPlanner, "D*": DStarPlanner, "D* Lite": DStarLitePlanner}
+EACH_PLANNER = pytest.mark.parametrize("cls", list(PLANNERS.values()), ids=list(PLANNERS))
 
 
 def _oracle_cost(grid, blocked, origin):
@@ -121,24 +83,24 @@ def _assert_rhs_held(p):
             for off, _ in table[p._mask[s]] if not p._held[s + off] & _HAS_RHS] == []
 
 
-def _check(planner, grid, blocked):
-    """The repaired path, or None when the goal is unreachable."""
-    g, expected = _oracle_cost(grid, blocked, planner.position)
+def _check(planner, grid, blocked, position):
+    """The path ``plan(position)`` repairs, or None when the goal is unreachable."""
+    g, expected = _oracle_cost(grid, blocked, position)
     if expected is None:
         with pytest.raises(NoPathError):
-            planner.repair()
-        _assert_rhs_held(planner.p)
+            planner.plan(position)
+        _assert_rhs_held(planner)
         return None
-    path = planner.repair()
-    _assert_rhs_held(planner.p)
-    assert path[0] == planner.position and path[-1] == grid.goal
+    path = planner.plan(position)
+    _assert_rhs_held(planner)
+    assert path[0] == position and path[-1] == grid.goal
     for a, b in zip(path, path[1:]):
         assert b in dict(g.neighbors8(a)), (a, b)
     assert path_cost_of(path) == pytest.approx(expected, abs=1e-9)
     return path
 
 
-def _replay(make, n, density, seed, corner_cutting, ops, after_repair=None):
+def _replay(cls, n, density, seed, corner_cutting, ops, after_repair=None):
     """Apply ``ops`` to a planner, checking every repair against the oracle.
 
     ``after_repair(planner, grid, blocked)``, if given, runs after each repair.
@@ -147,11 +109,11 @@ def _replay(make, n, density, seed, corner_cutting, ops, after_repair=None):
         RandomGridSpec(n=n, density=density, sg_distance=min(6, n - 1), seed=seed),
         allow_corner_cutting=corner_cutting,
     )
-    planner = make(grid)
-    blocked = set(grid.blocked)
+    planner = cls(grid)
+    position, blocked = grid.start, set(grid.blocked)
 
     def repair():
-        path = _check(planner, grid, blocked)
+        path = _check(planner, grid, blocked, position)
         if after_repair is not None:
             after_repair(planner, grid, blocked)
         return path
@@ -159,9 +121,11 @@ def _replay(make, n, density, seed, corner_cutting, ops, after_repair=None):
     path = last_path = repair()
     for op, a, b in ops:
         if op == "advance":
-            if path is None or not hasattr(planner, "advance"):
+            if path is None or cls is LpaStarPlanner:
                 continue
-            planner.advance(a)
+            position = path[min(a, len(path) - 1)]
+            if not b:
+                continue
         else:
             if op == "near":
                 x, y = last_path[a % len(last_path)]
@@ -169,10 +133,10 @@ def _replay(make, n, density, seed, corner_cutting, ops, after_repair=None):
             else:
                 cell = (a % n, b % n)
             if not grid.in_bounds(cell) or cell in (
-                    tuple(grid.start), tuple(grid.goal), tuple(planner.position)):
+                    tuple(grid.start), tuple(grid.goal), tuple(position), tuple(last_path[0])):
                 continue
             now_blocked = cell not in blocked
-            planner.toggle(cell, now_blocked)
+            planner.set_blocked(cell, now_blocked)
             if now_blocked:
                 blocked.add(cell)
             else:
@@ -190,15 +154,18 @@ GRIDS = dict(
 )
 
 
-@pytest.mark.parametrize("make", [_Lpa, _DStar, _DStarLite], ids=["LPA*", "D*", "D* Lite"])
+@EACH_PLANNER
 @settings(max_examples=60, deadline=None)
 # a k1 one ulp above the target's once stopped the repair before it began
 @example(n=11, density=0.0, seed=2551, corner_cutting=False, ops=[("near", 0, 6), ("toggle", 6, 6)])
 @example(n=10, density=0.15, seed=195215, corner_cutting=False,
          ops=[("near", 2, 5), ("toggle", 2, 2), ("toggle", 5, 3)])
+# a D* Lite move followed by a toggle before the plan once left k_m short of
+# the move: the repair then cost 3 where the oracle finds 1 + sqrt(2)
+@example(n=4, density=0.0, seed=31, corner_cutting=False, ops=[("advance", 1, False), ("near", 3, 1)])
 @given(**GRIDS)
-def test_repairs_match_oracle(make, n, density, seed, corner_cutting, ops):
-    _replay(make, n, density, seed, corner_cutting, ops, after_repair=_assert_open_list)
+def test_repairs_match_oracle(cls, n, density, seed, corner_cutting, ops):
+    _replay(cls, n, density, seed, corner_cutting, ops, after_repair=_assert_open_list)
 
 
 def _assert_open_list(planner, grid=None, blocked=None):
@@ -207,7 +174,7 @@ def _assert_open_list(planner, grid=None, blocked=None):
     _assert_masks_exact(planner)
 
 
-def _assert_masks_exact(planner):
+def _assert_masks_exact(p):
     """The planner's arc masks are those of its current flags.
 
     Every planner refreshes the masks around each toggle, so every in-grid
@@ -216,7 +183,6 @@ def _assert_masks_exact(planner):
     cell whose flag differs from the grid's must have its block marked.
     The planner toggles a copy: the grid's own masks stay those of its flags.
     """
-    p = planner.p
     assert p.grid.masks == bytes(arc_masks(p.grid.flags, p.grid.steps))
     fresh = arc_masks(p._flags, p._steps)
     in_grid = [s for s, f in enumerate(p._flags) if f != OUTSIDE]
@@ -229,13 +195,12 @@ def _assert_masks_exact(planner):
                 if not all(p._dirty[s + d] for d in block if p._flags[s + d] != OUTSIDE)] == []
 
 
-def _assert_live_bytes(planner, grid=None, blocked=None):
+def _assert_live_bytes(p, grid=None, blocked=None):
     """The probe's live bytes are exactly the planner's held entries plus its heap entries.
 
     The planners keep these bytes in locals while they search; a lost write-back
     that leaves the peak unchanged shows here and in no pinned counter.
     """
-    p = planner.p
     if isinstance(p, DStarPlanner):
         held = RECORD_ENTRY_BYTES * sum(1 for t in _dstar_tags(p) if t != "NEW")
     else:
@@ -254,7 +219,7 @@ def _live_index(p):
     return {s: sq for s, sq in enumerate(p._live) if sq}
 
 
-def _assert_queue_exact(planner):
+def _assert_queue_exact(p):
     """Exactly the cells that need expanding are queued, each under a sound key.
 
     LPA* and D* Lite: a cell has a live entry iff g != rhs.  The entry's k2 is
@@ -265,7 +230,6 @@ def _assert_queue_exact(planner):
     missed push shows here.  D*: each queued (OPEN) cell's key is at most
     its h, since the key is the least h the cell has held while queued.
     """
-    p = planner.p
     index = _live_index(p)
     live = {e[-1]: e for e in p._heap if index.get(e[-1]) == e[-2]}
     assert live.keys() == index.keys()
@@ -286,27 +250,26 @@ def _assert_queue_exact(planner):
             assert k1 <= now1 + move + 1e-9, s
 
 
-@pytest.mark.parametrize("make", [_Lpa, _DStar, _DStarLite], ids=["LPA*", "D*", "D* Lite"])
+@EACH_PLANNER
 @pytest.mark.parametrize("walls", [((4, 5), (4, 4), (5, 4)), ((1, 0), (1, 1), (0, 1))],
                          ids=["goal", "start"])
-def test_live_bytes_after_sealing_an_end(make, walls):
+def test_live_bytes_after_sealing_an_end(cls, walls):
     """The byte count is written back on the NoPathError path too."""
     grid = Grid(6, 6, frozenset(), (0, 0), (5, 5))
-    planner = make(grid)
+    planner = cls(grid)
     blocked = set()
-    assert _check(planner, grid, blocked) is not None
+    assert _check(planner, grid, blocked, grid.start) is not None
     _assert_live_bytes(planner)
     for cell in walls:
-        planner.toggle(cell, True)
+        planner.set_blocked(cell, True)
         blocked.add(cell)
-        path = _check(planner, grid, blocked)
+        path = _check(planner, grid, blocked, grid.start)
         _assert_live_bytes(planner)
     assert path is None
 
 
-def _assert_rhs_exact(planner, grid, blocked):
+def _assert_rhs_exact(p, grid, blocked):
     """Every cell but the root: rhs == min over its neighbours of g + step cost, INF if blocked."""
-    p = planner.p
     now = Grid(grid.width, grid.height, frozenset(blocked), grid.start, grid.goal,
                grid.allow_corner_cutting)
     for y in range(grid.height):
@@ -324,16 +287,17 @@ def _assert_rhs_exact(planner, grid, blocked):
 
 # The path-cost oracle cannot see a wrong rhs that leaves the path unchanged,
 # so the g/rhs core's one-step-lookahead values are checked exactly
-@pytest.mark.parametrize("make", [_Lpa, _DStarLite], ids=["LPA*", "D* Lite"])
+@pytest.mark.parametrize("cls", [LpaStarPlanner, DStarLitePlanner], ids=["LPA*", "D* Lite"])
 @settings(max_examples=40, deadline=None)
 @given(**GRIDS)
-def test_rhs_is_exact_after_every_repair(make, n, density, seed, corner_cutting, ops):
-    _replay(make, n, density, seed, corner_cutting, ops, after_repair=_assert_rhs_exact)
+def test_rhs_is_exact_after_every_repair(cls, n, density, seed, corner_cutting, ops):
+    _replay(cls, n, density, seed, corner_cutting, ops, after_repair=_assert_rhs_exact)
 
 
-@pytest.mark.parametrize("make,start,goal", [(_Lpa, (0, 0), (4, 3)), (_DStarLite, (4, 3), (0, 0))],
+@pytest.mark.parametrize("cls,start,goal", [(LpaStarPlanner, (0, 0), (4, 3)),
+                                            (DStarLitePlanner, (4, 3), (0, 0))],
                          ids=["LPA*", "D* Lite"])
-def test_rhs_exact_when_a_raised_cell_ties_for_the_minimum(make, start, goal):
+def test_rhs_exact_when_a_raised_cell_ties_for_the_minimum(cls, start, goal):
     """A rising g recomputes a neighbour's rhs only where it was that rhs's argmin.
 
     Both planners root the search at (0, 0) of an open 5x4 grid.  Blocking
@@ -342,16 +306,15 @@ def test_rhs_exact_when_a_raised_cell_ties_for_the_minimum(make, start, goal):
     of (2, 2)'s, so a repair that skips either recompute leaves a wrong rhs.
     """
     grid = Grid(5, 4, frozenset(), start, goal)
-    planner = make(grid)
-    _check(planner, grid, set())
-    p = planner.p
-    g = lambda c: p._g[grid.index(c)]  # noqa: E731
-    rhs = lambda c: p._rhs[grid.index(c)]  # noqa: E731
+    planner = cls(grid)
+    _check(planner, grid, set(), start)
+    g = lambda c: planner._g[grid.index(c)]  # noqa: E731
+    rhs = lambda c: planner._rhs[grid.index(c)]  # noqa: E731
     assert g((1, 1)) + 1 == g((1, 0)) + SQRT2 == rhs((2, 1))
     assert g((1, 1)) + SQRT2 == rhs((2, 2))
     assert all(g(m) + c > rhs((2, 2)) for m, c in grid.neighbors8((2, 2)) if m != (1, 1))
-    planner.toggle((0, 1), True)
-    _check(planner, grid, {(0, 1)})
+    planner.set_blocked((0, 1), True)
+    _check(planner, grid, {(0, 1)}, start)
     assert g((1, 1)) > SQRT2
     _assert_rhs_exact(planner, grid, {(0, 1)})
 
@@ -413,20 +376,20 @@ def test_dstar_sweep_expands_in_key_order(name):
     """
     grid = SWEEP_GRIDS[name]()
     probe = _RecordingProbe()
-    planner = _DStar(grid, probe)
-    p = planner.p
-    hs = [p._h[s] for s in probe.ids]
-    assert len(hs) == p.expanded
+    planner = DStarPlanner(grid, probe)
+    planner.initial_run()
+    hs = [planner._h[s] for s in probe.ids]
+    assert len(hs) == planner.expanded
     assert [i for i in range(1, len(hs)) if hs[i] < hs[i - 1]] == []
-    heap = p._heap
+    heap = planner._heap
     assert heap and all(heap[(i - 1) // 2] <= heap[i] for i in range(1, len(heap)))
     _assert_open_list(planner)
     blocked = set(grid.blocked)
-    path = _check(planner, grid, blocked)
+    path = _check(planner, grid, blocked, grid.start)
     cell = tuple(path[len(path) // 2])
-    planner.toggle(cell, True)
+    planner.set_blocked(cell, True)
     blocked.add(cell)
-    _check(planner, grid, blocked)
+    _check(planner, grid, blocked, grid.start)
     _assert_open_list(planner)
 
 
@@ -503,40 +466,25 @@ def _grhs_state(p):
 def _event_script(planner, grid):
     """Three blocks at the middle of the current path and one unblock of the first.
 
-    The agent (D* and D* Lite) takes two steps along its path before the
-    second block.  Returns the sha256 of the planner's state after the first
-    search and after every repair.
+    The agent (but LPA*'s) takes two steps along its path before the second
+    block.  Returns the sha256 of the planner's state after the first search
+    and after every repair.
     """
-    dstar = isinstance(planner, DStarPlanner)
-    state = _dstar_state_digest if dstar else _grhs_state
+    state = _dstar_state_digest if isinstance(planner, DStarPlanner) else _grhs_state
     position, states = grid.start, []
 
     def repair():
-        if dstar:
-            planner.replan(position)
-            path = planner.extract_path(position)
-        else:
-            planner.compute()
-            _assert_rhs_held(planner)
-            path = planner.extract_path()
+        path = planner.plan(position)
+        _assert_rhs_held(planner)
         states.append(state(planner))
         return path
 
-    if dstar:
-        planner.initial_run()
-        path = planner.extract_path()
-        states.append(state(planner))
-    else:
-        path = repair()
+    path = repair()
     first = None
     for event in range(3):
         if event == 1 and not isinstance(planner, LpaStarPlanner):
-            if dstar:
-                position = path[2]
-            else:
-                planner.advance(2)
-                assert planner.position == path[2]
-            path = path[2:]
+            position = path[2]
+            path = planner.plan(position)
         cell = path[len(path) // 2]
         first = first or cell
         planner.set_blocked(cell, True)
@@ -563,7 +511,6 @@ EVENT_STATE_DIGESTS = {
     ("D*", "random_60"):
         "c8ecee88682a13090bcc7f9e114051804c4f142490ba620612d25a9d9af1bbc3",
 }
-PLANNERS = {"LPA*": LpaStarPlanner, "D*": DStarPlanner, "D* Lite": DStarLitePlanner}
 
 
 @pytest.mark.parametrize("key", sorted(EVENT_STATE_DIGESTS), ids="-".join)
@@ -571,6 +518,61 @@ def test_event_script_state_pinned(key):
     name, grid_name = key
     grid = GOLDEN_GRIDS[grid_name]()
     assert _event_script(PLANNERS[name](grid), grid) == EVENT_STATE_DIGESTS[key]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 7])
+@pytest.mark.parametrize("name", sorted(GOLDEN_GRIDS))
+def test_dstar_lite_plan_aims_as_advance_moves(name, k):
+    """``plan(path[k])`` leaves D* Lite's state as ``advance(k)`` does, and so does a repair."""
+    grid = GOLDEN_GRIDS[name]()
+    aimed, moved = DStarLitePlanner(grid), DStarLitePlanner(grid)
+    path = aimed.plan(grid.start)
+    moved.compute()
+    aimed.plan(path[k])
+    moved.advance(k)
+    assert _grhs_state(aimed) == _grhs_state(moved)
+    for planner in (aimed, moved):
+        planner.set_blocked(path[(k + len(path)) // 2])
+    moved.compute()
+    assert aimed.plan(path[k]) == moved.extract_path()
+    assert _grhs_state(aimed) == _grhs_state(moved)
+
+
+@EACH_PLANNER
+@pytest.mark.parametrize("sealed", ["goal", "start"])
+def test_plan_on_a_sealed_end_expands_nothing(cls, sealed):
+    """A first ``plan`` on the grid's own flags reads ``Grid.solvable`` before any search.
+
+    After a toggle the planner searches: opening the ring finds the path.
+    """
+    ring = [(5 + dx, 5 + dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1) if dx or dy]
+    ends = [(0, 0), (5, 5)] if sealed == "goal" else [(5, 5), (0, 0)]
+    grid = Grid(30, 30, frozenset(ring), *ends)
+    planner = cls(grid)
+    with pytest.raises(NoPathError, match="unreachable"):
+        planner.plan(grid.start)
+    assert (planner.expanded, planner.probe.expansions) == (0, 0)
+    planner.set_blocked((4, 5), False)
+    assert planner.plan(grid.start)[-1] == grid.goal
+
+
+@EACH_PLANNER
+def test_plan_rejects_an_out_of_bounds_position(cls):
+    planner = cls(Grid(5, 4, frozenset(), (0, 0), (4, 3)))
+    for cell in ((-1, 0), (5, 0), (0, 4), (7, 1)):
+        with pytest.raises(InvalidCellError, match="out of bounds"):
+            planner.plan(cell)
+    assert planner.expanded == 0
+
+
+def test_lpa_plans_only_from_its_start():
+    planner = LpaStarPlanner(Grid(5, 4, frozenset(), (0, 0), (4, 3)))
+    path = planner.plan((0, 0))
+    assert (path[0], path[-1]) == ((0, 0), (4, 3))
+    for cell in ((1, 0), (2, 2), (4, 3)):
+        with pytest.raises(InvalidCellError, match="from its start"):
+            planner.plan(cell)
+    assert planner.plan((0, 0)) == path
 
 
 def _initial_state(planner):
@@ -638,25 +640,26 @@ def _dstar_lite_script(seed):
     """
     n = (20, 30, 40)[seed % 3]
     grid = generate_random_grid(RandomGridSpec(n=n, density=0.25, sg_distance=0.6 * n, seed=seed))
-    planner = _DStarLite(grid)
-    blocked = set(grid.blocked)
+    planner = DStarLitePlanner(grid)
+    position, blocked = grid.start, set(grid.blocked)
     rng = random.Random(seed)
-    path = _check(planner, grid, blocked)
+    path = _check(planner, grid, blocked, position)
     for event in range(12):
         if event % 2 == 1 and path is not None and len(path) > 4:
-            planner.advance(3)
+            position = path[3]
+            planner.plan(position)
         while True:
             if path is not None and rng.random() < 0.5:
                 cell = tuple(path[rng.randrange(len(path))])
             else:
                 cell = (rng.randrange(n), rng.randrange(n))
-            if cell not in (tuple(grid.goal), tuple(planner.position)):
+            if cell not in (tuple(grid.goal), tuple(position)):
                 break
         now_blocked = cell not in blocked
-        planner.toggle(cell, now_blocked)
+        planner.set_blocked(cell, now_blocked)
         (blocked.add if now_blocked else blocked.discard)(cell)
-        path = _check(planner, grid, blocked)
-    return planner.p.expanded
+        path = _check(planner, grid, blocked, position)
+    return planner.expanded
 
 
 # seed -> total expansions of the script; k_m keeps every queued key a lower
@@ -687,43 +690,38 @@ def test_dstar_lite_scripted_replans(seed):
     assert _dstar_lite_script(seed) == SCRIPTED_EXPANSIONS[seed]
 
 
-def _blocks_on_path(make, moves):
+def _blocks_on_path(cls):
     """Six blocks on the 60x60 golden grid, each at the middle of the current path.
 
-    With ``moves`` the agent first takes two steps along that path (from the
+    The agent (but LPA*'s) first takes two steps along that path (from the
     second block on).  Every repair is checked against the oracle; returns
     the summed expansions and the probe's peak bytes.
     """
     grid = generate_random_grid(RandomGridSpec(n=60, density=0.3, sg_distance=40, seed=3))
-    planner = make(grid)
-    blocked = set(grid.blocked)
-    path = _check(planner, grid, blocked)
+    planner = cls(grid)
+    position, blocked = grid.start, set(grid.blocked)
+    path = _check(planner, grid, blocked, position)
     for block in range(6):
-        if moves and block:
-            if hasattr(planner, "advance"):
-                planner.advance(2)
-            else:
-                planner.position = path[2]
-            assert planner.position == path[2]
-            path = path[2:]
+        if block and cls is not LpaStarPlanner:
+            position = path[2]
+            path = _check(planner, grid, blocked, position)
         cell = tuple(path[len(path) // 2])
-        planner.toggle(cell, True)
+        planner.set_blocked(cell, True)
         blocked.add(cell)
-        path = _check(planner, grid, blocked)
+        path = _check(planner, grid, blocked, position)
         assert path is not None
-    return planner.p.expanded, planner.p.probe.peak_bytes
+    return planner.expanded, planner.probe.peak_bytes
 
 
 # planner -> (summed expansions, peak bytes) of the script above; the
 # memory column must not move when the planners' value stores change
 REPAIR_COUNTERS = {
-    "LPA*": (_Lpa, False, (2087, 184592)),
-    "D*": (_DStar, True, (4301, 287264)),
-    "D* Lite": (_DStarLite, True, (1862, 164552)),
+    "LPA*": (2087, 184592),
+    "D*": (4301, 287264),
+    "D* Lite": (1862, 164552),
 }
 
 
 @pytest.mark.parametrize("name", sorted(REPAIR_COUNTERS))
 def test_repair_counters_pinned(name):
-    make, moves, expected = REPAIR_COUNTERS[name]
-    assert _blocks_on_path(make, moves) == expected
+    assert _blocks_on_path(PLANNERS[name]) == REPAIR_COUNTERS[name]
