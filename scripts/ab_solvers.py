@@ -21,9 +21,14 @@ toggles near the middle of the current path (see ``replay``), the two
 trees alternating round by round.  Per planner it prints the first
 search ("initial") and the summed repairs ("repair") in the same columns.
 
+Last, it times ``generate_random_grid`` on the reference spec, the trees
+alternating round by round, and prints one row ("generate") in the same
+columns.
+
 Exits 1 when ``expanded``, ``path_cost`` or ``peak_memory_bytes`` differ
-between the trees (or between rounds) on any solver and instance, or any
-replay event's expansions or path cost differ: timing solvers that do
+between the trees (or between rounds) on any solver and instance, when any
+replay event's expansions or path cost differ, or when the generated
+reference grids' flags, start or goal differ: timing solvers that do
 different work compares nothing.
 
 Usage:
@@ -32,6 +37,7 @@ Usage:
 
 import argparse
 import gc
+import hashlib
 import importlib.util
 import os
 import statistics
@@ -135,6 +141,20 @@ def compare_repairs(trees, rounds: int):
     return readings, times
 
 
+def compare_generator(trees, rounds: int):
+    """The reference grid's (flags sha256, start, goal) readings and both trees' ms per draw."""
+    readings, times = set(), ([], [])
+    for r in range(rounds):
+        for side in ((0, 1) if r % 2 == 0 else (1, 0)):
+            gc.collect()
+            t0 = time.perf_counter()
+            grid = INSTANCES[0][1](trees[side])
+            times[side].append(1000 * (time.perf_counter() - t0))
+            readings.add((hashlib.sha256(grid.flags).hexdigest()[:12],
+                          tuple(grid.start), tuple(grid.goal)))
+    return readings, times
+
+
 def _row(label, expanded, a, b) -> str:
     ma, mb = statistics.median(a), statistics.median(b)
     per_round = statistics.median(y / x for x, y in zip(a, b))
@@ -153,7 +173,8 @@ def main(argv=None) -> int:
     ap.add_argument("tree_a", help="root of the first source tree (the base of the ratios)")
     ap.add_argument("tree_b", help="root of the second source tree")
     ap.add_argument("--rounds", type=int, default=15,
-                    help="solves per tree, solver and instance; replays per tree and planner")
+                    help="solves per tree, solver and instance; replays per tree and planner; "
+                         "reference-grid draws per tree")
     args = ap.parse_args(argv)
     if args.rounds < 1:
         ap.error(f"--rounds must be >= 1, got {args.rounds}")
@@ -187,6 +208,11 @@ def main(argv=None) -> int:
                                      ("repair", 1, sum(e for e, _ in repairs))):
             print(_row(f"{labels[name]} {phase}", expanded,
                        [t[col] for t in a], [t[col] for t in b]))
+    readings, (a, b) = compare_generator(trees, args.rounds)
+    title = f"generator, {INSTANCES[0][0]}"
+    print(f"\n{title}\n{HEADER}\n{_row('generate', None, a, b)}")
+    if len(readings) > 1:
+        differ.append(f"{title}: (flags sha256, start, goal) {sorted(readings)}")
     for line in differ:
         print(f"DIFFER: {line}", file=sys.stderr)
     return 1 if differ else 0

@@ -14,7 +14,11 @@ A draw is checked through its ``Grid.solvable``, which the grid keeps.
 The obstacle draw is a partial Fisher-Yates shuffle of the cell ids that
 writes each drawn cell straight into row-major flag bytes, which
 ``Grid.from_cells`` pads into the grid: no (x, y) pair is made per
-obstacle.
+obstacle.  It shuffles a copy of the row-major id list of its grid side,
+which ``_cell_ids`` keeps for the last ``CELL_ID_CACHE_SIZE`` (two) sides
+drawn, so no draw builds n * n int objects.  This is per-process state:
+the list of a 300x300 grid holds 3.6 MB, so the cache holds at most
+7.2 MB for sides up to 300.
 
 Wall family: fixed 31-wide x 71-tall grids with full-width-minus-gap
 horizontal walls every 10 rows, anchored to the left edge on odd rows
@@ -39,6 +43,9 @@ from .errors import GenerationError, InvalidSpecError
 from .grid import BLOCKED, SQRT2, Coord, Grid, euclidean_heuristic
 
 MAX_GENERATION_ATTEMPTS = 1000
+# grid sides whose id list ``_cell_ids`` keeps; a sweep draws every instance
+# of one point at one side, so two serve every draw but each side's first
+CELL_ID_CACHE_SIZE = 2
 
 WALL_GRID_WIDTH = 31
 WALL_GRID_HEIGHT = 71
@@ -102,6 +109,12 @@ def _distance_ring(n: int, sg_distance: float) -> tuple:
     return tuple(ring)
 
 
+@lru_cache(maxsize=CELL_ID_CACHE_SIZE)
+def _cell_ids(n: int) -> list:
+    """The row-major ids 0 .. n*n - 1 of an n x n grid; callers copy it, never mutate it."""
+    return list(range(n * n))
+
+
 def is_solvable(grid: Grid) -> bool:
     """Whether the goal is reachable from the start.
 
@@ -162,20 +175,22 @@ def generate_random_grid(spec: RandomGridSpec, allow_corner_cutting: bool = Fals
             continue
         gx, gy = goals[min(int(rand() * len(goals)), len(goals) - 1)]
         # cells are row-major ids y * n + x, minus start and goal (one cell
-        # when they coincide); the higher id goes first so the lower keeps its place
-        cells = list(range(n * n))
+        # when they coincide); the higher id goes first so the lower keeps its
+        # place.  The shuffle writes into this copy, never into the cached list
+        cells = _cell_ids(n).copy()
         for i in sorted({sy * n + sx, gy * n + gx}, reverse=True):
             del cells[i]
         # partial Fisher-Yates: the first `target` positions become the blocked
         # set.  Position i is final after its swap and never read again, so
         # its cell goes straight into the row-major flag bytes and only
-        # position j is written back.
+        # position j is written back.  Its offset is drawn on the span k = m - i
         blk = bytearray(n * n)
         m = len(cells)
-        for i in range(target):
-            j = i + int(rand() * (m - i))
-            if j == m:  # the same clamp as min(..., k - 1), without the call
-                j -= 1
+        for i, k in zip(range(target), range(m, m - target, -1)):
+            t = int(rand() * k)
+            if t == k:  # the same clamp as min(..., k - 1), without the call
+                t -= 1
+            j = i + t
             blk[cells[j]] = BLOCKED
             cells[j] = cells[i]
         grid = Grid.from_cells(n, n, blk, (sx, sy), (gx, gy), allow_corner_cutting)

@@ -9,7 +9,7 @@ k == h are LOWER states that propagate improvements to their neighbors.
 On an arc-cost change (an obstacle toggled), affected CLOSED cells
 re-enter the open list and processing resumes until the robot's cell is
 again provably optimal.  ``plan(position)`` (LPA*'s and D* Lite's too)
-runs ``initial_run`` once, then ``replan(position)``.  ``replan`` drives
+runs ``initial_run(position)`` once, then ``replan(position)``.  ``replan`` drives
 the RAISE/LOWER loop (``_run``); ``initial_run`` is a backward
 uniform-cost sweep with its own loop.  The sweep is exact because h only
 falls during a first search, so every queued cell has k == h.  Hence no
@@ -231,19 +231,19 @@ class DStarPlanner:
         self.expanded += expanded
         probe.live_bytes, probe.peak_bytes, probe.expansions = nbytes, peak, nexp0 + expanded
 
-    def initial_run(self) -> None:
-        """Settle costs outward from the goal until the start is closed.
+    def initial_run(self, position=None) -> None:
+        """Settle costs outward from the goal until ``position`` (the start by default) is closed.
 
         A backward uniform-cost sweep (see the module docstring for why it
         is exact); raises NoPathError if the open list empties first, that
-        is, when the start's h is still INF.  It needs a fresh planner,
+        is, when the position's h is still INF.  It needs a fresh planner,
         whose queued cells all have k == h.
         """
         if self.expanded:
             raise RuntimeError("initial_run needs a fresh planner; use replan to repair")
+        stop = cell_id(self.grid, position if position is not None else self.grid.start)
         goal = self.grid.index(self.grid.goal)
         self._insert(goal, 0.0)
-        stop = self.grid.index(self.grid.start)
         live, h, back = self._live, self._h, self._back
         mask, table, probe, seq = self._mask, self._table, self.probe, self._seq
         # one FIFO queue per step cost (see the module docstring); the goal's
@@ -302,7 +302,7 @@ class DStarPlanner:
         self._seq, self.expanded = seq, expanded
         probe.live_bytes, probe.peak_bytes, probe.expansions = nbytes, peak, nexp0 + expanded
         if h[stop] == INF:
-            raise NoPathError(f"no path from {tuple(self.grid.start)} to {tuple(self.grid.goal)}")
+            raise NoPathError(f"no path from {tuple(self.grid.coord(stop))} to {tuple(self.grid.goal)}")
 
     def set_blocked(self, cell, blocked: bool = True) -> None:
         """Toggle an obstacle; re-queues affected CLOSED cells (neither OPEN nor NEW)."""
@@ -321,11 +321,16 @@ class DStarPlanner:
         self._run(cell_id(self.grid, position))
 
     def plan(self, position) -> list:
-        """``initial_run`` on the first call, then ``replan(position)``; the path from there."""
-        cell_id(self.grid, position)
+        """``initial_run(position)`` on the first call, then ``replan(position)``; the path from there.
+
+        ``Grid.solvable`` speaks only for the start, so the first plan
+        reads it only there.
+        """
+        i = cell_id(self.grid, position)
         if not self.expanded:
-            check_solvable(self.grid, self._flags)
-            self.initial_run()
+            if i == self.grid.index(self.grid.start):
+                check_solvable(self.grid, self._flags)
+            self.initial_run(position)
         self.replan(position)
         return self.extract_path(position)
 

@@ -1,6 +1,7 @@
 """scripts/ab_solvers.py: one process, two trees, every solver on both reference instances.
 
-Also the repair replay of the incremental planners on the reference grid.
+Also the repair replay of the incremental planners on the reference grid,
+and the draw of the reference grid itself.
 """
 
 import shutil
@@ -22,7 +23,7 @@ def _run(tree_a, tree_b):
 def test_same_tree_twice_agrees():
     proc = _run(ROOT, ROOT)
     assert proc.returncode == 0, proc.stderr
-    *blocks, repairs = proc.stdout.split("\n\n")[1:]
+    *blocks, repairs, generator = proc.stdout.split("\n\n")[1:]
     assert [b.splitlines()[0] for b in blocks] == ["random 300x300", "7-wall, length 21"]
     for block in blocks:
         rows = [line.split() for line in block.splitlines()[2:]]
@@ -36,6 +37,10 @@ def test_same_tree_twice_agrees():
     assert [" ".join(r[:-7]) for r in rows] == [
         f"{p} {phase}" for p in PLANNERS for phase in ("initial", "repair")]
     assert all(int(r[-7]) > 0 and float(r[-2]) > 0 for r in rows)
+    lines = generator.splitlines()
+    assert lines[0] == "generator, random 300x300"
+    (row,) = [line.split() for line in lines[2:]]
+    assert row[0] == "generate" and len(row) == 5 and float(row[-2]) > 0
 
 
 def _copy_src(tmp_path, module, old, new):
@@ -64,3 +69,15 @@ def test_differing_repair_expansions_exit_one(tmp_path):
     differ = [line for line in proc.stderr.splitlines() if line.startswith("DIFFER:")]
     assert len(differ) == 1
     assert differ[0].startswith("DIFFER: repair path, D*: search 1 (expanded, path_cost)")
+
+
+def test_differing_reference_grid_exits_one(tmp_path):
+    """A generator that draws the start's y before its x differs in the reference grid."""
+    _copy_src(tmp_path, "generators.py",
+              "sx = min(int(rand() * n), n - 1)\n        sy = min(int(rand() * n), n - 1)",
+              "sy = min(int(rand() * n), n - 1)\n        sx = min(int(rand() * n), n - 1)")
+    proc = _run(ROOT, tmp_path)
+    assert proc.returncode == 1
+    differ = [line for line in proc.stderr.splitlines() if line.startswith("DIFFER:")]
+    assert differ[-1].startswith(
+        "DIFFER: generator, random 300x300: (flags sha256, start, goal)")

@@ -113,6 +113,29 @@ class TestDistanceRing:
             assert _distance_ring.__wrapped__(n, d) == self.full_scan(n, d), (n, d)
 
 
+class TestCellIds:
+    """Each draw copies the cached id list of its grid side and never writes to it."""
+
+    # each side twice in a row, then the first side again after it was evicted;
+    # three of the 0.45-density specs reject and redraw (1 to 8 times), each from the cache
+    SPECS = [RandomGridSpec(n, density, n / 2, seed)
+             for n, density in ((5, 0.3), (9, 0.45), (14, 0.3), (30, 0.45), (5, 0.45))
+             for seed in range(2)]
+
+    def test_cached_list_intact_and_draws_match_uncached(self):
+        assert len({s.n for s in self.SPECS}) > genmod.CELL_ID_CACHE_SIZE
+        genmod._cell_ids.cache_clear()
+        cached = []
+        for spec in self.SPECS:
+            cached.append(generate_random_grid(spec))
+            assert genmod._cell_ids(spec.n) == list(range(spec.n * spec.n)), spec
+        assert genmod._cell_ids.cache_info().misses == 5  # side 5 was evicted, then drawn again
+        for spec, grid in zip(self.SPECS, cached):
+            genmod._cell_ids.cache_clear()
+            fresh = generate_random_grid(spec)
+            assert (fresh.flags, fresh.start, fresh.goal) == (grid.flags, grid.start, grid.goal)
+
+
 class TestInstanceSets:
     def test_ten_instances(self):
         grids = generate_instance_set(RandomGridSpec(n=12, density=0.2, sg_distance=7, seed=3), 10)

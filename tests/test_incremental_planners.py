@@ -556,6 +556,18 @@ def test_plan_on_a_sealed_end_expands_nothing(cls, sealed):
     assert planner.plan(grid.start)[-1] == grid.goal
 
 
+@pytest.mark.parametrize("cls", [DStarPlanner, DStarLitePlanner], ids=["D*", "D* Lite"])
+def test_first_plan_off_a_sealed_start(cls):
+    """``Grid.solvable`` speaks for the start only: a first plan from elsewhere searches."""
+    ring = [(5 + dx, 5 + dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1) if dx or dy]
+    grid = Grid(30, 30, frozenset(ring), (5, 5), (25, 25))
+    planner = cls(grid)
+    path = _check(planner, grid, ring, (10, 10))
+    assert path_cost_of(path) == pytest.approx(15 * SQRT2)
+    with pytest.raises(NoPathError):
+        planner.plan(grid.start)
+
+
 @EACH_PLANNER
 def test_plan_rejects_an_out_of_bounds_position(cls):
     planner = cls(Grid(5, 4, frozenset(), (0, 0), (4, 3)))
