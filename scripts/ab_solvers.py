@@ -2,34 +2,33 @@
 """Compare the solvers of two source trees, solve by solve, in one process.
 
 Loads the ``gridbench`` package of each tree (``TREE/src/gridbench``)
-under its own module name, builds the two reference instances of aim 1
+under its own module name and builds the two reference instances of aim 1
 in ROADMAP.md with each tree's own generators (the 300x300 random grid:
 density 0.25, start-goal distance 140, seed 0; the 7-wall, length-21 wall
-grid), then, round by round, solves each instance with every
-``AlgorithmId`` on both trees, alternating which tree goes first.  Each
-solve follows a ``gc.collect()`` and is timed by its own
-``solve_time_ms``.
+grid).  Then, round by round, it runs every job on both trees,
+alternating which tree goes first; each run follows a ``gc.collect()``.
+The jobs:
+
+- each instance solved with every ``AlgorithmId``, timed by its own
+  ``solve_time_ms``;
+- the repair path, which the benchmark's ``replan_ref300`` pools into one
+  median over all events: LPA*, D* and D* Lite each search the reference
+  grid, then repair it after each of ``REPAIR_EVENTS`` toggles near the
+  middle of the current path (see ``replay``);
+- a draw of the reference grid by ``generate_random_grid``.
 
 Prints, per instance and solver, the expansions, each tree's median ms
 and us per expansion, the ratio of the medians and the median of the
 per-round ratios (B over A); the last row per instance sums the solvers.
-
-Then it replays the repair path, which the benchmark's ``replan_ref300``
-pools into one median over all events: LPA*, D* and D* Lite each search
-the reference grid, then repair it after each of ``REPAIR_EVENTS``
-toggles near the middle of the current path (see ``replay``), the two
-trees alternating round by round.  Per planner it prints the first
-search ("initial") and the summed repairs ("repair") in the same columns.
-
-Last, it times ``generate_random_grid`` on the reference spec, the trees
-alternating round by round, and prints one row ("generate") in the same
-columns.
+Per planner it prints the first search ("initial") and the summed
+repairs ("repair"), and last the draw ("generate"), in the same columns.
 
 Exits 1 when ``expanded``, ``path_cost`` or ``peak_memory_bytes`` differ
 between the trees (or between rounds) on any solver and instance, when any
-replay event's expansions or path cost differ, or when the generated
+replay search's expansions or path cost differ, or when the generated
 reference grids' flags, start or goal differ: timing solvers that do
-different work compares nothing.
+different work compares nothing.  Exits 2, before any run, when a tree's
+incremental planners have no ``plan(position)``.
 
 Usage:
     python scripts/ab_solvers.py TREE_A TREE_B [--rounds N]
@@ -49,6 +48,11 @@ INSTANCES = (
         gb.RandomGridSpec(n=300, density=0.25, sg_distance=140.0, seed=0))),
     ("7-wall, length 21", lambda gb: gb.generate_wall_grid(gb.WallGridSpec(7, 21))),
 )
+REPAIR_EVENTS = 12
+PLANNERS = {"LPA_STAR": "LpaStarPlanner", "D_STAR": "DStarPlanner",
+            "D_STAR_LITE": "DStarLitePlanner"}
+REPAIRS = f"repair path, {INSTANCES[0][0]}, {REPAIR_EVENTS} events"
+GENERATOR = f"generator, {INSTANCES[0][0]}"
 
 
 def load_tree(root: str, name: str):
@@ -62,39 +66,25 @@ def load_tree(root: str, name: str):
     return module
 
 
-def compare(trees, build, rounds: int):
-    """Per solver: its (expanded, path_cost, peak) readings and both trees' times in ms."""
-    grids = [build(gb) for gb in trees]
-    names = [a.name for a in trees[0].AlgorithmId]
-    readings = {name: set() for name in names}
-    times = {name: ([], []) for name in names}
-    for r in range(rounds):
-        for i, name in enumerate(names):
-            for side in ((0, 1) if (r + i) % 2 == 0 else (1, 0)):
-                gb = trees[side]
-                gc.collect()
-                out = gb.solve(grids[side], gb.AlgorithmId[name])
-                readings[name].add((out.expanded, out.path_cost, out.peak_memory_bytes))
-                times[name][side].append(out.solve_time_ms)
-    return readings, times
-
-
-REPAIR_EVENTS = 12
-PLANNERS = {"LPA_STAR": "LpaStarPlanner", "D_STAR": "DStarPlanner",
-            "D_STAR_LITE": "DStarLitePlanner"}
+def solve(gb, grid, name):
+    """One solve: its (expanded, path_cost, peak) and ms."""
+    out = gb.solve(grid, gb.AlgorithmId[name])
+    return (out.expanded, out.path_cost, out.peak_memory_bytes), out.solve_time_ms
 
 
 def replay(gb, grid, name):
-    """One run of the repair script: per search, its (expanded, path cost) and ms.
+    """One run of the repair script: per search, its (expanded, path cost); the ms summed.
 
-    The first search, then one toggle and repair per event.  Events 3, 7
-    and 11 unblock the oldest cell still blocked; the others block the
-    middle cell of the current path.  D* and D* Lite first move the agent
-    two steps along that path before events 1, 4, 7 and 10.  A search's
-    time covers the planner's construction (the first), or the toggle
-    (a repair), up to the extracted path.
+    The first search, then one toggle and repair per event, all through
+    ``set_blocked`` and ``plan``.  Events 3, 7 and 11 unblock the oldest
+    cell still blocked; the others block the middle cell of the current
+    path.  D* and D* Lite first move the agent two steps along that path,
+    by ``plan(path[2])``, before events 1, 4, 7 and 10; the move is not
+    timed, and its expansions count in the event's.  A search's time
+    covers the planner's construction (the first), or the toggle (a
+    repair), up to the returned path.  Returns the readings and the
+    (first, summed repair) ms.
     """
-    dstar = name == "D_STAR"
     pos, blocked, readings, ms = grid.start, [], [], []
     t0 = time.perf_counter()
     planner = getattr(gb, PLANNERS[name])(grid)
@@ -102,11 +92,8 @@ def replay(gb, grid, name):
         before = planner.expanded
         if event:
             if name != "LPA_STAR" and event % 3 == 1:
-                if dstar:
-                    pos = path[2]
-                else:
-                    planner.advance(2)
-                path = path[2:]
+                pos = path[2]
+                path = planner.plan(pos)
             if event % 4 == 3:
                 cell, flag = blocked.pop(0), False
             else:
@@ -114,44 +101,35 @@ def replay(gb, grid, name):
                 blocked.append(cell)
             t0 = time.perf_counter()
             planner.set_blocked(cell, flag)
-        if not dstar:
-            planner.compute()
-        elif event:
-            planner.replan(pos)
-        else:
-            planner.initial_run()
-        path = planner.extract_path(pos) if dstar else planner.extract_path()
+        path = planner.plan(pos)
         ms.append(1000 * (time.perf_counter() - t0))
         readings.append((planner.expanded - before, gb.path_cost_of(path)))
-    return readings, ms
+    return tuple(readings), (ms[0], sum(ms[1:]))
 
 
-def compare_repairs(trees, rounds: int):
-    """Per planner: its replay readings and both trees' (initial, summed repair) ms per round."""
-    grids = [INSTANCES[0][1](gb) for gb in trees]
-    readings = {name: set() for name in PLANNERS}
-    times = {name: ([], []) for name in PLANNERS}
+def generate(gb):
+    """One draw of the reference grid: its (flags sha256, start, goal) and ms."""
+    t0 = time.perf_counter()
+    grid = INSTANCES[0][1](gb)
+    ms = 1000 * (time.perf_counter() - t0)
+    return (hashlib.sha256(grid.flags).hexdigest()[:12], tuple(grid.start), tuple(grid.goal)), ms
+
+
+def alternate(jobs, rounds: int):
+    """Run each job on both trees, round by round, alternating which tree goes first.
+
+    ``jobs`` maps a key to ``job(side) -> (reading, time)``.  Returns, per
+    key, the set of its readings and both trees' lists of times.
+    """
+    readings = {key: set() for key in jobs}
+    times = {key: ([], []) for key in jobs}
     for r in range(rounds):
-        for i, name in enumerate(PLANNERS):
+        for i, (key, job) in enumerate(jobs.items()):
             for side in ((0, 1) if (r + i) % 2 == 0 else (1, 0)):
                 gc.collect()
-                events, ms = replay(trees[side], grids[side], name)
-                readings[name].add(tuple(events))
-                times[name][side].append((ms[0], sum(ms[1:])))
-    return readings, times
-
-
-def compare_generator(trees, rounds: int):
-    """The reference grid's (flags sha256, start, goal) readings and both trees' ms per draw."""
-    readings, times = set(), ([], [])
-    for r in range(rounds):
-        for side in ((0, 1) if r % 2 == 0 else (1, 0)):
-            gc.collect()
-            t0 = time.perf_counter()
-            grid = INSTANCES[0][1](trees[side])
-            times[side].append(1000 * (time.perf_counter() - t0))
-            readings.add((hashlib.sha256(grid.flags).hexdigest()[:12],
-                          tuple(grid.start), tuple(grid.goal)))
+                reading, t = job(side)
+                readings[key].add(reading)
+                times[key][side].append(t)
     return readings, times
 
 
@@ -178,27 +156,39 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     if args.rounds < 1:
         ap.error(f"--rounds must be >= 1, got {args.rounds}")
-    trees = [load_tree(args.tree_a, "gridbench_a"), load_tree(args.tree_b, "gridbench_b")]
+    roots = [os.path.abspath(args.tree_a), os.path.abspath(args.tree_b)]
+    trees = [load_tree(roots[0], "gridbench_a"), load_tree(roots[1], "gridbench_b")]
+    for root, gb in zip(roots, trees):
+        if not all(hasattr(getattr(gb, cls), "plan") for cls in PLANNERS.values()):
+            print(f"{root}: its incremental planners have no plan(position)", file=sys.stderr)
+            return 2
     labels = {a.name: a.label for a in trees[0].AlgorithmId}
+    grids = {title: [build(gb) for gb in trees] for title, build in INSTANCES}
+    jobs = {(title, name): lambda side, pair=pair, name=name: solve(trees[side], pair[side], name)
+            for title, pair in grids.items() for name in labels}
+    reference = grids[INSTANCES[0][0]]
+    jobs.update({(REPAIRS, name): lambda side, name=name: replay(trees[side], reference[side], name)
+                 for name in PLANNERS})
+    jobs[GENERATOR, "generate"] = lambda side: generate(trees[side])
+    readings, times = alternate(jobs, args.rounds)
     differ = []
-    print(f"A: {os.path.abspath(args.tree_a)}\nB: {os.path.abspath(args.tree_b)}\n"
+    print(f"A: {roots[0]}\nB: {roots[1]}\n"
           f"{args.rounds} round(s); medians in ms; ratios are B/A")
-    for title, build in INSTANCES:
-        readings, times = compare(trees, build, args.rounds)
+    for title, _ in INSTANCES:
         print(f"\n{title}\n{HEADER}")
-        for name, (a, b) in times.items():
-            if len(readings[name]) > 1:
+        for name in labels:
+            runs, (a, b) = readings[title, name], times[title, name]
+            if len(runs) > 1:
                 differ.append(f"{title}, {labels[name]}: (expanded, path_cost, peak) "
-                              f"{sorted(readings[name])}")
-            (expanded, _, _), *_ = readings[name]
+                              f"{sorted(runs)}")
+            (expanded, _, _), *_ = runs
             print(_row(labels[name], expanded, a, b))
-        sums = [[sum(t[side][r] for t in times.values()) for r in range(args.rounds)]
+        sums = [[sum(times[title, name][side][r] for name in labels) for r in range(args.rounds)]
                 for side in (0, 1)]
         print(_row("summed", None, *sums))
-    readings, times = compare_repairs(trees, args.rounds)
-    print(f"\nrepair path, {INSTANCES[0][0]}, {REPAIR_EVENTS} events\n{HEADER}")
-    for name, (a, b) in times.items():
-        runs = sorted(readings[name])
+    print(f"\n{REPAIRS}\n{HEADER}")
+    for name in PLANNERS:
+        runs, (a, b) = sorted(readings[REPAIRS, name]), times[REPAIRS, name]
         if len(runs) > 1:
             event = next(e for e, reads in enumerate(zip(*runs)) if len(set(reads)) > 1)
             differ.append(f"repair path, {labels[name]}: search {event} (expanded, path_cost) "
@@ -208,11 +198,10 @@ def main(argv=None) -> int:
                                      ("repair", 1, sum(e for e, _ in repairs))):
             print(_row(f"{labels[name]} {phase}", expanded,
                        [t[col] for t in a], [t[col] for t in b]))
-    readings, (a, b) = compare_generator(trees, args.rounds)
-    title = f"generator, {INSTANCES[0][0]}"
-    print(f"\n{title}\n{HEADER}\n{_row('generate', None, a, b)}")
-    if len(readings) > 1:
-        differ.append(f"{title}: (flags sha256, start, goal) {sorted(readings)}")
+    runs, (a, b) = readings[GENERATOR, "generate"], times[GENERATOR, "generate"]
+    print(f"\n{GENERATOR}\n{HEADER}\n{_row('generate', None, a, b)}")
+    if len(runs) > 1:
+        differ.append(f"{GENERATOR}: (flags sha256, start, goal) {sorted(runs)}")
     for line in differ:
         print(f"DIFFER: {line}", file=sys.stderr)
     return 1 if differ else 0

@@ -14,7 +14,7 @@ import sys
 from dataclasses import fields
 
 from .errors import GridBenchError, NoPathError
-from .experiments import run_sweep
+from .experiments import WALL_GRID_DEFAULT_LENGTH, run_sweep
 from .generators import (
     RandomGridSpec,
     WallGridSpec,
@@ -175,7 +175,7 @@ def _build_parser() -> argparse.ArgumentParser:
     g_wall = gen_sub.add_parser("walls")
     g_wall.add_argument("out")
     g_wall.add_argument("--num-walls", type=int, required=True)
-    g_wall.add_argument("--wall-length", type=int, default=15)
+    g_wall.add_argument("--wall-length", type=int, default=WALL_GRID_DEFAULT_LENGTH)
     g_wall.set_defaults(func=_cmd_gen)
 
     return parser

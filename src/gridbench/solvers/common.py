@@ -1,4 +1,4 @@
-"""Shared solver contract: algorithm ids, parameters, and outcomes."""
+"""Shared solver contract: algorithm ids, parameters, outcomes; the incremental planners' base."""
 
 from __future__ import annotations
 
@@ -8,7 +8,8 @@ from enum import Enum
 from typing import Tuple
 
 from ..errors import InvalidCellError, InvalidSpecError, NoPathError
-from ..grid import BLOCKED, FREE, OUTSIDE, Coord, step_cost
+from ..grid import BLOCKED, FREE, OUTSIDE, Coord, arc_table, refresh_arc_masks, step_cost
+from ..instrumentation import AllocationProbe
 
 INF = math.inf
 
@@ -107,21 +108,59 @@ def check_solvable(grid, flags) -> None:
         raise NoPathError(f"goal {tuple(grid.goal)} unreachable from {tuple(grid.start)}")
 
 
-def toggle_cell(grid, flags, cell, blocked: bool, fixed, why: str) -> int:
-    """Apply an obstacle toggle to a planner's flag copy; returns the cell's id.
-
-    ``fixed`` are the cells that must stay traversable, ``why`` says why.
-    """
-    cell = (cell[0], cell[1])
-    if cell in fixed:
-        raise InvalidCellError(f"cannot toggle {cell}: {why}")
-    i = cell_id(grid, cell)
-    flags[i] = BLOCKED if blocked else FREE
-    return i
-
-
 def cells_around(i: int, flags, stride: int) -> list:
     """Ids of the in-grid cells around padded id ``i``, column by column from the top left."""
     return [j for j in (i - stride - 1, i - 1, i + stride - 1, i - stride, i + stride,
                         i - stride + 1, i + 1, i + stride + 1)
             if flags[j] != OUTSIDE]
+
+
+class IncrementalPlanner:
+    """What LPA*, D* and D* Lite share: the substrate, the toggle and the first-plan rule.
+
+    A planner searches between a root cell and a target cell, the two ends
+    of its path: LPA* from the start to the goal, D* and D* Lite from the
+    goal to the agent's cell.  It toggles obstacles in its own copies of
+    ``Grid.flags`` and ``Grid.masks``, which are not charged to the probe:
+    like the grid's flags they are substrate, not search state.
+    """
+
+    def __init__(self, grid, root, target, probe: AllocationProbe | None = None):
+        self.grid = grid
+        self.probe = probe or AllocationProbe()
+        # padded flags and arc masks of the planner's own (mutable) copy of the grid
+        self._flags = bytearray(grid.flags)
+        self._mask = bytearray(grid.masks)
+        self._steps = grid.steps
+        self._table = arc_table(self._steps)
+        self._stride = grid.width + 2
+        self._root, self._target = grid.index(root), grid.index(target)
+        self.expanded = 0
+
+    def set_blocked(self, cell, blocked: bool = True) -> None:
+        """Toggle an obstacle, refresh the masks of the cells around it and re-queue them.
+
+        The path's ends, the root and the target, must stay traversable.
+        Each planner re-queues in its own order (``_requeue``), because the
+        order fixes the seqs that break its key ties.
+        """
+        i = cell_id(self.grid, cell)
+        if i == self._root or i == self._target:
+            raise InvalidCellError(f"cannot toggle {(cell[0], cell[1])}: "
+                                   "path ends must stay traversable")
+        self._flags[i] = BLOCKED if blocked else FREE
+        around = cells_around(i, self._flags, self._stride)
+        refresh_arc_masks(self._mask, around, self._flags, self._steps)
+        self._requeue(i, around)
+
+    def _first_plan(self, i: int) -> bool:
+        """Whether no search has run yet; if so and id ``i`` is the start, checks ``Grid.solvable``.
+
+        The bit speaks only for the start, and only on the grid's own flags:
+        ``check_solvable`` raises NoPathError.
+        """
+        if self.expanded:
+            return False
+        if i == self.grid.index(self.grid.start):
+            check_solvable(self.grid, self._flags)
+        return True

@@ -17,8 +17,10 @@ RAISE state occurs, and a LOWER expansion improves a neighbor only where
 its h exceeds the new cost: a back-pointer child's h came from an h of
 its parent that was no lower.  Toggles made before the run only add INF
 arcs, which no back-pointer crosses yet, so dirty cells walk their masks
-in the sweep too.  The whole record store is kept; its footprint is part
-of what the benchmarks measure.
+in the sweep too.  ``set_blocked`` rejects a toggle of either end of the
+path: the goal, or the cell of the last ``initial_run`` or ``replan``
+(the start before either).  The whole record store is kept; its
+footprint is part of what the benchmarks measure.
 The store is three dense lists indexed by padded id: h, the back-pointer
 and ``_live``, each queued cell's current (k, seq, id) heap entry (None
 where no entry counts).  The tag and k of a record are read from them: a
@@ -41,15 +43,16 @@ merged, becomes ``_heap`` as one sorted list, which is a valid heap.
 ``_run`` keeps the heap, because its RAISE states break that monotone
 order.  Both of its branches queue cells with the steps of ``_insert``
 written out and the probe's bytes in locals; ``_insert`` itself serves
-only ``set_blocked`` (and the goal's first entry in ``initial_run``).
+only ``set_blocked``'s ``_requeue`` (and the goal's first entry in
+``initial_run``).
 The sweep writes no live entry per push or pop: every push lowers h and
 a closed cell's h never falls again, so an entry is current exactly when
 its key equals its cell's h, and at the stop each current entry left
 becomes its cell's live entry.  A cell walks its usable arcs
 through the planner's copy of ``Grid.masks``, refreshed around each
-toggle; the cells in the 3x3 block of a toggle are marked dirty and, in
-``_run``, walk ``_arcs`` instead, which also lists their unusable arcs,
-at cost INF.
+toggle (``common.IncrementalPlanner``); the cells in the 3x3 block of a
+toggle are marked dirty and, in ``_run``, walk ``_arcs`` instead, which
+also lists their unusable arcs, at cost INF.
 """
 
 from __future__ import annotations
@@ -58,24 +61,15 @@ from collections import deque
 from heapq import heappop, heappush, merge
 
 from ..errors import NoPathError
-from ..grid import OUTSIDE, arc_table, refresh_arc_masks
+from ..grid import OUTSIDE
 from ..instrumentation import HEAP_ENTRY_BYTES, RECORD_ENTRY_BYTES, AllocationProbe
-from .common import INF, SolverParams, cell_id, check_solvable, path_cost_of, toggle_cell
+from .common import INF, IncrementalPlanner, SolverParams, cell_id, path_cost_of
 
 
-class DStarPlanner:
+class DStarPlanner(IncrementalPlanner):
     def __init__(self, grid, probe: AllocationProbe | None = None):
-        self.grid = grid
-        self.probe = probe or AllocationProbe()
-        # padded flags of the planner's own (mutable) copy of the grid
-        self._flags = bytearray(grid.flags)
-        self._steps = grid.steps
-        # each cell's usable arcs over the planner's own flags, a copy of
-        # ``Grid.masks``; ``set_blocked`` refreshes the cells around a toggle
-        # and marks its 3x3 block dirty.  Not charged: like the flags it is
-        # substrate, not search state
-        self._mask = bytearray(grid.masks)
-        self._table = arc_table(self._steps)
+        super().__init__(grid, grid.goal, grid.start, probe)
+        # ``set_blocked`` marks the 3x3 block of each toggle dirty
         self._dirty = bytearray(len(self._flags))
         # the record store, one slot per padded id: h, the back-pointer and
         # the current queue entry.  A cell holds a record once it leaves
@@ -86,7 +80,6 @@ class DStarPlanner:
         self._heap = []
         self._live = [None] * size  # each queued id's current (k, seq, id) entry, None if none
         self._seq = 0
-        self.expanded = 0
 
     def _arcs(self, i):
         """``(offset, cost)`` to every in-grid 8-neighbour of a dirty cell, INF if unusable.
@@ -106,8 +99,8 @@ class DStarPlanner:
     def _insert(self, s, h_new: float) -> None:
         """Queue ``s`` with cost ``h_new``; a NEW cell's k is h_new, as h is INF.
 
-        Serves ``set_blocked`` and the goal's entry in ``initial_run``; the
-        search loops write its steps out.
+        Serves ``set_blocked``'s ``_requeue`` and the goal's entry in
+        ``initial_run``; the search loops write its steps out.
         """
         h, entry = self._h[s], self._live[s]
         if h == INF and self._back[s] < 0:
@@ -241,8 +234,9 @@ class DStarPlanner:
         """
         if self.expanded:
             raise RuntimeError("initial_run needs a fresh planner; use replan to repair")
-        stop = cell_id(self.grid, position if position is not None else self.grid.start)
-        goal = self.grid.index(self.grid.goal)
+        stop = self._target = cell_id(self.grid, position if position is not None
+                                      else self.grid.start)
+        goal = self._root
         self._insert(goal, 0.0)
         live, h, back = self._live, self._h, self._back
         mask, table, probe, seq = self._mask, self._table, self.probe, self._seq
@@ -304,32 +298,25 @@ class DStarPlanner:
         if h[stop] == INF:
             raise NoPathError(f"no path from {tuple(self.grid.coord(stop))} to {tuple(self.grid.goal)}")
 
-    def set_blocked(self, cell, blocked: bool = True) -> None:
-        """Toggle an obstacle; re-queues affected CLOSED cells (neither OPEN nor NEW)."""
-        i = toggle_cell(self.grid, self._flags, cell, blocked, (self.grid.goal,),
-                        "the goal must stay traversable")
+    def _requeue(self, i, around) -> None:
+        """After a toggle of ``i``: mark its 3x3 block dirty, re-queue the block's CLOSED cells.
+
+        CLOSED: neither OPEN nor NEW.  The block is walked in step order.
+        """
         flags, h, back = self._flags, self._h, self._back
-        affected = [i] + [i + off for off, _, _, _ in self._steps if flags[i + off] != OUTSIDE]
-        refresh_arc_masks(self._mask, affected[1:], flags, self._steps)
-        for s in affected:
+        for s in [i] + [i + off for off, _, _, _ in self._steps if flags[i + off] != OUTSIDE]:
             self._dirty[s] = 1
             if self._live[s] is None and not (h[s] == INF and back[s] < 0):
                 self._insert(s, h[s])
 
     def replan(self, position) -> None:
         """Process until the cost at ``position`` is again provably optimal."""
-        self._run(cell_id(self.grid, position))
+        self._target = cell_id(self.grid, position)
+        self._run(self._target)
 
     def plan(self, position) -> list:
-        """``initial_run(position)`` on the first call, then ``replan(position)``; the path from there.
-
-        ``Grid.solvable`` speaks only for the start, so the first plan
-        reads it only there.
-        """
-        i = cell_id(self.grid, position)
-        if not self.expanded:
-            if i == self.grid.index(self.grid.start):
-                check_solvable(self.grid, self._flags)
+        """``initial_run(position)`` on the first call, then ``replan(position)``; the path."""
+        if self._first_plan(cell_id(self.grid, position)):
             self.initial_run(position)
         self.replan(position)
         return self.extract_path(position)
@@ -339,7 +326,7 @@ class DStarPlanner:
         coord = self.grid.coord
         if self._h[origin] == INF:
             raise NoPathError(f"no path from {tuple(coord(origin))} to {tuple(self.grid.goal)}")
-        goal = self.grid.index(self.grid.goal)
+        goal = self._root
         back, flags, mask = self._back, self._flags, self._mask
         bit = {off: 1 << d for d, (off, _, _, _) in enumerate(self._steps)}
         path = [origin]

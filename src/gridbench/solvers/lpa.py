@@ -12,11 +12,11 @@ and aims at the goal (k_m stays 0); D* Lite (``dstar_lite``) roots it at
 the goal and aims at the moving agent.  ``plan(position)`` (D*'s too)
 repairs for an agent at ``position``; LPA* accepts only its start.  Each
 planner walks its cells' usable arcs through its own copy of
-``Grid.masks``, and ``set_blocked`` refreshes the masks of the cells
-around a toggle.  ``compute`` walks the arcs of an expansion whose g
-falls (every expansion of a first search) in a loop of its own, which can
-skip a neighbour on its rhs alone; the rarer rising g keeps the general
-loop.  The open list's index is dense: one seq per padded id, 0 where the
+``Grid.masks``, which ``set_blocked`` (``common.IncrementalPlanner``)
+refreshes around a toggle.  ``compute`` walks the arcs of an expansion
+whose g falls (every expansion of a first search) in a loop of its own,
+which can skip a neighbour on its rhs alone; the rarer rising g keeps the
+general loop.  The open list's index is dense: one seq per padded id, 0 where the
 cell is not queued.
 """
 
@@ -26,27 +26,20 @@ from heapq import heappop, heappush
 from math import hypot
 
 from ..errors import InvalidCellError, NoPathError
-from ..grid import arc_table, refresh_arc_masks
 from ..grid import neighbor_cells  # noqa: F401  (perfbench's tracer patches this name)
 from ..instrumentation import HEAP_ENTRY_BYTES, MAP_ENTRY_BYTES, AllocationProbe
-from .common import INF, SolverParams, cell_id, cells_around, check_solvable, toggle_cell
+from .common import INF, IncrementalPlanner, SolverParams, cell_id
 
 _HAS_G, _HAS_RHS = 1, 2  # bits of GRhsPlanner._held
 
 
-class GRhsPlanner:
+class GRhsPlanner(IncrementalPlanner):
     """The g/rhs core; the path runs target -> root, or root -> target if ``_forward``."""
 
     _forward = False
 
     def __init__(self, grid, root, target, probe: AllocationProbe | None = None):
-        self.grid = grid
-        self.probe = probe or AllocationProbe()
-        # padded flags of the planner's own (mutable) copy of the grid
-        self._flags = bytearray(grid.flags)
-        self._steps = grid.steps
-        self._stride = grid.width + 2
-        self._root = grid.index(root)
+        super().__init__(grid, root, target, probe)
         # g and rhs are dense arrays indexed by padded id; ``_held`` marks the
         # cells that hold a g / rhs entry, and each entry is charged to the
         # probe at its first write, as a hashed map of touched cells would be
@@ -54,11 +47,6 @@ class GRhsPlanner:
         self._g = [INF] * size
         self._rhs = [INF] * size
         self._held = bytearray(size)
-        # each cell's usable arcs over the planner's own flags, a copy of
-        # ``Grid.masks``; ``set_blocked`` refreshes the cells around a toggle.
-        # Not charged: like the flags it is substrate, not search state
-        self._mask = bytearray(grid.masks)
-        self._table = arc_table(self._steps)
         # the open list is a binary heap with lazy deletion: flat
         # (k1, k2, seq, id) entries, and ``_live`` holds, per padded id, the
         # seq of the entry that counts (0: not queued; seqs start at 1), so a
@@ -74,8 +62,7 @@ class GRhsPlanner:
         self._live = [0] * size
         self._queued = 0
         self._seq = 0
-        self.expanded = 0
-        self._aim(grid.index(target))
+        self._aim(self._target)
         self._last = self._target
         self._k_m = 0.0
         self._planned = 0  # ``_seq`` at the end of the last ``plan``
@@ -166,9 +153,7 @@ class GRhsPlanner:
                     live[u] = seq
                     queued += 1
                     heappush(heap, (n1, k2, seq, u))
-                    nbytes += HEAP_ENTRY_BYTES
-                    if nbytes > peak:
-                        peak = nbytes
+                    nbytes += HEAP_ENTRY_BYTES  # back to its size before the pop
                     continue
             expanded += 1
             if on_expand is not None:
@@ -273,14 +258,9 @@ class GRhsPlanner:
             self._last = self._target
             self._fresh = self._seq
 
-    def set_blocked(self, cell, blocked: bool = True) -> None:
-        """Apply an obstacle change, add the target's move since the last one to k_m, re-queue."""
-        ends = (self.grid.coord(self._root), self.grid.coord(self._target))
-        i = toggle_cell(self.grid, self._flags, cell, blocked, ends,
-                        "path ends must stay traversable")
+    def _requeue(self, i, around) -> None:
+        """After a toggle of ``i``: add the target's move since the last toggle to k_m, re-queue."""
         self._take_move()
-        around = cells_around(i, self._flags, self._stride)
-        refresh_arc_masks(self._mask, around, self._flags, self._steps)
         self._update_vertex(i)
         for j in around:
             self._update_vertex(j)
@@ -333,8 +313,7 @@ class GRhsPlanner:
             self._aim(i)
             if self._seq != self._planned:  # keys queued since the last plan: k_m takes the move
                 self._take_move()
-        if not self.expanded and i == self.grid.index(self.grid.start):
-            check_solvable(self.grid, self._flags)
+        self._first_plan(i)
         self.compute()
         self._planned = self._seq
         return self.extract_path()

@@ -88,11 +88,6 @@ class RealTimeAgent:
         self._open = {}  # ids on its open list when its lookahead stopped
 
     @property
-    def position(self):
-        """The agent's cell."""
-        return self.grid.coord(self._pos)
-
-    @property
     def last_closed(self) -> list:
         """Cells expanded by the most recent episode."""
         return self.grid.coords(self._closed)

@@ -61,14 +61,27 @@ def test_differing_counters_exit_one(tmp_path):
 
 
 def test_differing_repair_expansions_exit_one(tmp_path):
-    """A D* that over-counts each replan by one differs only in the repair replay."""
+    """A D* that over-counts each replan by one differs only in the repair replay.
+
+    It differs from the first search on: D*'s first ``plan`` runs ``replan``
+    after its sweep, and ``solve`` runs the sweep alone.
+    """
     _copy_src(tmp_path, "solvers/dstar.py", "self.expanded += expanded\n",
               "self.expanded += expanded + 1\n")
     proc = _run(ROOT, tmp_path)
     assert proc.returncode == 1
     differ = [line for line in proc.stderr.splitlines() if line.startswith("DIFFER:")]
     assert len(differ) == 1
-    assert differ[0].startswith("DIFFER: repair path, D*: search 1 (expanded, path_cost)")
+    assert differ[0].startswith("DIFFER: repair path, D*: search 0 (expanded, path_cost)")
+
+
+def test_tree_without_plan_exits_two(tmp_path):
+    """A tree whose D* has no ``plan`` ends the run before any solve, naming the tree."""
+    _copy_src(tmp_path, "solvers/dstar.py", "def plan(", "def _plan(")
+    proc = _run(ROOT, tmp_path)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == f"{tmp_path}: its incremental planners have no plan(position)\n"
 
 
 def test_differing_reference_grid_exits_one(tmp_path):

@@ -634,6 +634,40 @@ def test_out_of_bounds_toggle_rejected(cls):
             planner.set_blocked(cell)
 
 
+def _substrate(p):
+    """The flags, the masks, the expansions and the probe's three readings."""
+    return (bytes(p._flags), bytes(p._mask), p.expanded,
+            (p.probe.live_bytes, p.probe.peak_bytes, p.probe.expansions))
+
+
+@EACH_PLANNER
+def test_toggling_a_path_end_is_rejected(cls):
+    """The goal and the agent's cell stay traversable, and a rejected toggle changes nothing.
+
+    The agent's cell is the start until the first plan, then the cell of
+    the last plan: a moved agent's old cell can be toggled.
+    """
+    grid = Grid(8, 6, frozenset({(3, 2)}), (0, 0), (7, 5))
+    planner = cls(grid)
+
+    def rejects(*cells):
+        before = _substrate(planner)
+        for cell in cells:
+            for flag in (True, False):
+                with pytest.raises(InvalidCellError, match="path ends must stay traversable"):
+                    planner.set_blocked(cell, flag)
+                assert _substrate(planner) == before
+
+    rejects(grid.start, grid.goal)
+    path = planner.plan(grid.start)
+    rejects(grid.start, grid.goal)
+    if cls is not LpaStarPlanner:
+        planner.plan(path[2])
+        rejects(path[2], grid.goal)
+        planner.set_blocked(grid.start)
+        assert planner.plan(path[2]) == path[2:]
+
+
 def test_dstar_path_check_rejects_an_unrepaired_chain():
     # without replan() the back-pointers still cross the toggled cell
     planner = DStarPlanner(Grid(5, 3, frozenset(), (0, 1), (4, 1)))
